@@ -52,10 +52,12 @@ class Direction(Enum):
 
 @dataclass
 class LexicalTranslationModel:
-    """t(generated | conditioning) probability table.
+    """t(generated | conditioning) probability table, stored gen-major.
 
-    Every row sums to 1; trained tables are treated as immutable, so
-    concurrent read-only queries are safe.
+    ``table[gen][cond]`` is t(gen | cond): scoring a generated word fetches
+    its one column. Every conditional distribution t(. | cond) sums to 1;
+    trained tables are treated as immutable, so concurrent read-only queries
+    are safe.
     """
 
     table: dict[str, dict[str, float]]
@@ -63,10 +65,10 @@ class LexicalTranslationModel:
     direction: Direction
 
     def prob(self, gen_word: str, cond_word: str) -> float:
-        row = self.table.get(cond_word)
-        if row is None:
+        column = self.table.get(gen_word)
+        if column is None:
             return 0.0
-        return row.get(gen_word, 0.0)
+        return column.get(cond_word, 0.0)
 
 
 def _oriented(pair: SentencePair, direction: Direction) -> tuple[Sentence, Sentence]:
@@ -115,35 +117,36 @@ def train_model1(
             targets.update(gen_tokens)
     table: dict[str, dict[str, float]] = {}
     for cond_tokens, gen_tokens in oriented:
-        for c in cond_tokens:
-            row = table.setdefault(c, {})
-            init = 1.0 / len(cooc[c])
-            for g in gen_tokens:
-                if g not in row:
-                    row[g] = init
+        for g in gen_tokens:
+            column = table.setdefault(g, {})
+            for c in cond_tokens:
+                if c not in column:
+                    column[c] = 1.0 / len(cooc[c])
 
+    # Every z, count and total adds its terms in corpus order, so each
+    # probability is the same float whichever way the table is keyed.
     trace: EmTrace = []
     n_pairs = len(oriented)
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {c: {} for c in table}
-        totals: dict[str, float] = {c: 0.0 for c in table}
+        counts: dict[str, dict[str, float]] = {g: {} for g in table}
+        totals = dict.fromkeys(cooc, 0.0)
         log_likelihood = 0.0
         for cond_tokens, gen_tokens in oriented:
             len_norm = math.log(len(cond_tokens))
             for g in gen_tokens:
+                column = table[g]
                 z = 0.0
                 for c in cond_tokens:
-                    z += table[c][g]
+                    z += column[c]
                 log_likelihood += math.log(z) - len_norm
+                count_column = counts[g]
                 for c in cond_tokens:
-                    share = table[c][g] / z
-                    row = counts[c]
-                    row[g] = row.get(g, 0.0) + share
+                    share = column[c] / z
+                    count_column[c] = count_column.get(c, 0.0) + share
                     totals[c] += share
         trace.append(log_likelihood)
-        for c, row in counts.items():
-            total = totals[c]
-            table[c] = {g: v / total for g, v in row.items()}
+        for g, count_column in counts.items():
+            table[g] = {c: v / totals[c] for c, v in count_column.items()}
         if min_gain is not None and len(trace) >= 2:
             if trace[-1] - trace[-2] < min_gain * n_pairs:
                 break
@@ -152,7 +155,7 @@ def train_model1(
     return model, trace
 
 
-_EMPTY_ROW: dict[str, float] = {}
+_EMPTY_COLUMN: dict[str, float] = {}
 
 
 def cond_cross_entropy(
@@ -174,9 +177,12 @@ def cond_cross_entropy(
     cond_tokens = [NULL] + x.tokens if tm.use_null else x.tokens
     table = tm.table
     norm = len(cond_tokens)
+    zeros = [0.0] * norm
     log_probs = []
     for g in y.tokens:
-        mass = math.fsum(table.get(c, _EMPTY_ROW).get(g, 0.0) for c in cond_tokens)
+        # One column fetch per generated token; fsum consumes the lookups in C.
+        column = table.get(g, _EMPTY_COLUMN)
+        mass = math.fsum(map(column.get, cond_tokens, zeros))
         log_probs.append(math.log(max(mass / norm, PROB_FLOOR)))
     return -math.fsum(log_probs) / len(y.tokens)
 
@@ -184,22 +190,46 @@ def cond_cross_entropy(
 def save_tm(tm: LexicalTranslationModel, path: str | Path) -> None:
     """Write the table as versioned TSV rows (cond, gen, probability).
 
-    Rows are sorted so output is byte-identical across runs; probabilities
-    are written with repr and therefore reload exactly.
+    Rows are sorted by (gen, cond), so output is byte-identical across runs
+    and a load fills one column at a time; probabilities are written with
+    repr and therefore reload exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"direction\t{tm.direction.value}\n")
         fh.write(f"null\t{int(tm.use_null)}\n")
-        n_rows = sum(len(row) for row in tm.table.values())
+        n_rows = sum(len(column) for column in tm.table.values())
         fh.write(f"rows\t{n_rows}\n")
-        for cond in sorted(tm.table):
-            row = tm.table[cond]
-            for gen in sorted(row):
-                fh.write(f"{cond}\t{gen}\t{row[gen]!r}\n")
+        for gen in sorted(tm.table):
+            column = tm.table[gen]
+            fh.writelines(f"{cond}\t{gen}\t{column[cond]!r}\n" for cond in sorted(column))
+
+
+def _bad_row(path: str | Path, lines: list[str], line: str) -> ModelFormatError:
+    """The error for a row that :func:`load_tm`'s row loop rejected.
+
+    The loop keeps no line counter: the first line with this text is the bad
+    one, because an identical earlier line would have failed first.
+    """
+    line_no = lines.index(line, 4) + 1
+    parts = line.split("\t")
+    if len(parts) != 3:
+        why = f"expected 'cond\\tgen\\tprob', got {line!r}"
+    else:
+        try:
+            float(parts[2])
+            why = f"probability {parts[2]!r} is not in [0, 1]"
+        except ValueError:
+            why = f"non-numeric probability: {parts[2]!r}"
+    return ModelFormatError(f"{path}: line {line_no}: {why}")
 
 
 def load_tm(path: str | Path) -> LexicalTranslationModel:
+    """Read a table written by :func:`save_tm`; rows may come in any order.
+
+    Every probability must be a number in [0, 1]; any other value raises
+    :class:`ModelFormatError` naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -237,16 +267,21 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
     if 4 + n_rows > len(lines):
         raise fail(len(lines) + 1, "truncated row section")
     table: dict[str, dict[str, float]] = {}
-    for idx in range(4, 4 + n_rows):
-        parts = lines[idx].split("\t")
-        if len(parts) != 3:
-            raise fail(idx + 1, f"expected 'cond\\tgen\\tprob', got {lines[idx]!r}")
-        cond, gen, prob_text = parts
+    gen, column = None, {}
+    for line in lines[4:4 + n_rows]:
         try:
+            cond, row_gen, prob_text = line.split("\t")
             prob = float(prob_text)
         except ValueError:
-            raise fail(idx + 1, f"non-numeric probability: {prob_text!r}") from None
-        table.setdefault(cond, {})[gen] = prob
+            raise _bad_row(path, lines, line) from None
+        if not 0.0 <= prob <= 1.0:  # also false for nan
+            raise _bad_row(path, lines, line)
+        if row_gen != gen:
+            gen = row_gen
+            column = table.get(gen)
+            if column is None:
+                column = table[gen] = {}
+        column[cond] = prob
     if 4 + n_rows < len(lines):
         raise fail(4 + n_rows + 1, "trailing content after row section")
 
@@ -261,8 +296,9 @@ class ExternalScoreTable:
     token of the generated side, end event included.
     """
 
-    def __init__(self, scores: list[float]):
+    def __init__(self, scores: list[float], source: str = "external score table"):
         self._scores = scores
+        self.source = source  # the file it came from, for error messages
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -317,4 +353,4 @@ def load_external_scores(path: str | Path) -> ExternalScoreTable:
         raise ExternalScoreError(
             f"{path}: ids are not dense from 0: id {missing} is missing"
         )
-    return ExternalScoreTable([entries[i] for i in range(len(entries))])
+    return ExternalScoreTable([entries[i] for i in range(len(entries))], source=str(path))

@@ -57,10 +57,23 @@ class NgramLanguageModel:
         self.ngram_counts = ngram_counts
         # A context's count is the sum of its continuations, so it never
         # needs to be serialized.
-        context_counts: Counter[tuple[str, ...]] = Counter()
+        contexts: dict[tuple[str, ...], int] = {}
         for ngram, count in ngram_counts.items():
-            context_counts[ngram[:-1]] += count
-        self.context_counts = dict(context_counts)
+            history = ngram[:-1]
+            contexts[history] = contexts.get(history, 0) + count
+        self.context_counts = contexts
+        # Every log-probability scoring can need, each the same float that
+        # log(prob()) gives: a stored n-gram, an unseen word after a seen
+        # history, and any word after an unseen history (count 0 adds nothing).
+        kv = k * len(vocab)
+        self._ngram_log_probs = {
+            ngram: math.log((count + k) / (contexts[ngram[:-1]] + kv))
+            for ngram, count in ngram_counts.items()
+        }
+        self._unseen_word_log_probs = {
+            history: math.log(k / (count + kv)) for history, count in contexts.items()
+        }
+        self._unseen_history_log_prob = math.log(k / kv)
 
     @property
     def vocab_size(self) -> int:
@@ -80,18 +93,18 @@ class NgramLanguageModel:
         return numer / denom
 
     def _event_log_probs(self, tokens: list[str]) -> list[float]:
-        mapped = [t if t in self.vocab else UNK for t in tokens]
+        vocab = self.vocab
+        mapped = [t if t in vocab else UNK for t in tokens]
         padded = [BOS] * (self.order - 1) + mapped + [EOS]
-        n_hist = self.order - 1
-        counts = self.ngram_counts
-        contexts = self.context_counts
-        kv = self.k * self.vocab_size
+        ngram_log_probs = self._ngram_log_probs
         out = []
-        for i in range(n_hist, len(padded)):
-            history = tuple(padded[i - n_hist:i])
-            numer = counts.get(history + (padded[i],), 0) + self.k
-            denom = contexts.get(history, 0) + kv
-            out.append(math.log(numer / denom))
+        for ngram in zip(*(padded[i:] for i in range(self.order))):
+            log_prob = ngram_log_probs.get(ngram)
+            if log_prob is None:
+                log_prob = self._unseen_word_log_probs.get(
+                    ngram[:-1], self._unseen_history_log_prob
+                )
+            out.append(log_prob)
         return out
 
 
@@ -174,7 +187,39 @@ def save_lm(lm: NgramLanguageModel, path: str | Path) -> None:
             fh.write(f"{' '.join(ngram)}\t{lm.ngram_counts[ngram]}\n")
 
 
+def _bad_ngram_row(
+    path: str | Path, lines: list[str], start: int, line: str, order: int
+) -> ModelFormatError:
+    """The error for an n-gram row that :func:`load_lm`'s row loop rejected.
+
+    The loop keeps no line counter: the first line with this text from
+    ``start`` on is the bad one, because an identical earlier line would
+    have failed first.
+    """
+    line_no = lines.index(line, start) + 1
+    parts = line.split("\t")
+    if len(parts) != 2:
+        why = f"expected 'ngram\\tcount', got {line!r}"
+    else:
+        try:
+            count = int(parts[1])
+        except ValueError:
+            why = f"non-integer count: {parts[1]!r}"
+        else:
+            if count < 0:
+                why = f"negative count: {parts[1]!r}"
+            else:
+                why = f"n-gram arity {len(parts[0].split(' '))} != order {order}"
+    return ModelFormatError(f"{path}: line {line_no}: {why}")
+
+
 def load_lm(path: str | Path) -> NgramLanguageModel:
+    """Read a model written by :func:`save_lm`.
+
+    The order must be >= 1, ``k`` finite and > 0, the vocabulary non-empty
+    and every count >= 0; a violation raises :class:`ModelFormatError`
+    naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -204,13 +249,19 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
             raise fail(idx + 1, f"non-integer {key}: {parts[1]!r}") from None
 
     order = header_int(1, "order")
+    if order < 1:
+        raise fail(2, f"order must be >= 1, got {order}")
     if 2 >= len(lines) or not lines[2].startswith("k\t"):
         raise fail(3, "missing 'k' header")
     try:
         k = float(lines[2].split("\t", 1)[1])
     except ValueError:
         raise fail(3, f"non-numeric k: {lines[2]!r}") from None
+    if not 0.0 < k < math.inf:
+        raise fail(3, f"add-k constant must be finite and > 0, got {k!r}")
     vocab_size = header_int(3, "vocab")
+    if vocab_size < 1:
+        raise fail(4, f"vocab must not be empty, got {vocab_size}")
 
     vocab_start = 4
     vocab_end = vocab_start + vocab_size
@@ -226,21 +277,27 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
     if ngram_end > len(lines):
         raise fail(len(lines) + 1, "truncated n-gram section")
     ngram_counts: dict[tuple[str, ...], int] = {}
-    for idx in range(ngram_start, ngram_end):
-        parts = lines[idx].split("\t")
-        if len(parts) != 2:
-            raise fail(idx + 1, f"expected 'ngram\\tcount', got {lines[idx]!r}")
-        ngram = tuple(parts[0].split(" "))
-        if len(ngram) != order:
-            raise fail(idx + 1, f"n-gram arity {len(ngram)} != order {order}")
+    for line in lines[ngram_start:ngram_end]:
         try:
-            count = int(parts[1])
+            text, count_text = line.split("\t")
+            count = int(count_text)
         except ValueError:
-            raise fail(idx + 1, f"non-integer count: {parts[1]!r}") from None
-        if ngram in ngram_counts:
-            raise fail(idx + 1, f"duplicate n-gram {parts[0]!r}")
+            raise _bad_ngram_row(path, lines, ngram_start, line, order) from None
+        ngram = tuple(text.split(" "))
+        if len(ngram) != order or count < 0:
+            raise _bad_ngram_row(path, lines, ngram_start, line, order)
         ngram_counts[ngram] = count
+    if len(ngram_counts) != n_ngrams:
+        seen: set[str] = set()
+        for idx in range(ngram_start, ngram_end):
+            text = lines[idx].split("\t")[0]
+            if text in seen:
+                raise fail(idx + 1, f"duplicate n-gram {text!r}")
+            seen.add(text)
     if ngram_end < len(lines):
         raise fail(ngram_end + 1, "trailing content after n-gram section")
 
-    return NgramLanguageModel(order=order, k=k, vocab=vocab, ngram_counts=ngram_counts)
+    try:
+        return NgramLanguageModel(order=order, k=k, vocab=vocab, ngram_counts=ngram_counts)
+    except (ArithmeticError, ValueError) as exc:  # counts or k beyond float range
+        raise ModelFormatError(f"{path}: cannot build log-probabilities: {exc}") from None

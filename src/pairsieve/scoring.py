@@ -28,7 +28,13 @@ from .corpus import (
     _decode_line,
     tokenize,
 )
-from .errors import CorpusFormatError, ModelFormatError, ScoreDomainError, ScoringError
+from .errors import (
+    CorpusFormatError,
+    ExternalScoreError,
+    ModelFormatError,
+    ScoreDomainError,
+    ScoringError,
+)
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
 from .ngram_lm import NgramLanguageModel, cross_entropy
 
@@ -417,7 +423,9 @@ def score_corpus_to_file(
     """Score a corpus from disk into a score file, optionally in parallel.
 
     Returns the number of records written. Output is byte-identical for any
-    worker count: shards are contiguous id ranges re-emitted in order.
+    worker count: shards are contiguous id ranges re-emitted in order. An
+    external score table must hold one score per pair; a table of any other
+    length fails before the first pair is scored.
     """
     if path is not None:
         offsets, n_pairs = _line_offsets(path, shard_lines)
@@ -449,6 +457,13 @@ def score_corpus_to_file(
             }
             for start in range(0, n_pairs, shard_lines)
         ]
+
+    for scorer in (fwd_scorer, rev_scorer, in_scorer, out_scorer):
+        if isinstance(scorer, TableScorer) and len(scorer.table) != n_pairs:
+            raise ExternalScoreError(
+                f"{scorer.table.source}: {len(scorer.table)} scores for a corpus "
+                f"of {n_pairs} pairs"
+            )
 
     state = {
         "path": path,

@@ -102,6 +102,64 @@ def test_score_accepts_external_tables_for_all_roles(workdir, tmp_path):
     assert records[0].dom == pytest.approx(math.exp(-1), rel=1e-5)
 
 
+@pytest.mark.parametrize("n_fwd", [125, 119])
+def test_score_rejects_a_table_of_the_wrong_length(workdir, tmp_path, caplog, n_fwd):
+    for name, n in (("f.tsv", n_fwd), ("r.tsv", 120), ("i.tsv", 120), ("o.tsv", 120)):
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                fh.write(f"{i}\t1.0\n")
+    out = tmp_path / "x.tsv"
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--fwd-model", tmp_path / "f.tsv", "--rev-model", tmp_path / "r.tsv",
+        "--in-lm", tmp_path / "i.tsv", "--out-lm", tmp_path / "o.tsv",
+        "--out", out,
+    )
+    assert code == 1
+    assert not out.exists() and not list(tmp_path.glob("*.partial"))
+    (record,) = caplog.records
+    assert record.levelname == "ERROR"
+    assert str(tmp_path / "f.tsv") in record.message
+    assert f"{n_fwd} scores" in record.message and "120 pairs" in record.message
+
+
+def _score_with_edited_model(workdir, tmp_path, name, edit):
+    """Run score with the model ``name`` replaced by an edited copy."""
+    lines = (workdir / name).read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    models = [bad if arg == workdir / name else arg for arg in model_args(workdir)]
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        *models, "--out", tmp_path / "x.tsv",
+    )
+    return code, bad
+
+
+def test_score_rejects_a_nan_tm_probability_at_load(workdir, tmp_path, caplog):
+    def edit(lines):
+        cond, gen, _ = lines[4].split("\t")
+        lines[4] = f"{cond}\t{gen}\tnan"
+
+    code, bad = _score_with_edited_model(workdir, tmp_path, "fwd.tm", edit)
+    assert code == 1
+    assert not (tmp_path / "x.tsv").exists()
+    (record,) = caplog.records
+    assert record.message.startswith(f"{bad}: line 5: ")
+
+
+def test_score_rejects_an_lm_with_k_zero_at_load(workdir, tmp_path, caplog):
+    def edit(lines):
+        lines[2] = "k\t0"
+
+    code, bad = _score_with_edited_model(workdir, tmp_path, "in.lm", edit)
+    assert code == 1
+    assert not (tmp_path / "x.tsv").exists()
+    (record,) = caplog.records
+    assert record.message.startswith(f"{bad}: line 3: ")
+
+
 def test_trusted_flag_forces_adequacy_to_one(workdir, tmp_path):
     out = tmp_path / "trusted.scores.tsv"
     code = run_cli(

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pairsieve.corpus import Sentence, SentencePair, tokenize
 from pairsieve.errors import (
@@ -10,6 +10,7 @@ from pairsieve.errors import (
     EmptySourceError,
     ExternalScoreError,
     IncompatibleModelError,
+    ModelFormatError,
     TrainingError,
 )
 from pairsieve.lexical_tm import (
@@ -67,7 +68,11 @@ def test_rows_normalize_after_every_training_run():
         for i in range(20)
     ]
     model, _ = train_model1(corpus, iterations=3, use_null=True)
-    for cond, row in model.table.items():
+    rows: dict[str, dict[str, float]] = {}
+    for gen, column in model.table.items():
+        for cond, p in column.items():
+            rows.setdefault(cond, {})[gen] = p
+    for cond, row in rows.items():
         assert abs(math.fsum(row.values()) - 1.0) <= 1e-6
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in row.values())
 
@@ -93,9 +98,9 @@ def test_em_monotone_on_fuzzed_corpora(seed):
 
 
 def certain_table(use_null):
-    table = {"house": {"haus": 1.0}}
+    table = {"haus": {"house": 1.0}}
     if use_null:
-        table[NULL] = {"haus": 0.0}
+        table["haus"][NULL] = 0.0
     return LexicalTranslationModel(
         table=table, use_null=use_null, direction=Direction.FORWARD
     )
@@ -167,7 +172,7 @@ def test_empty_source_without_null_raises():
 
 
 def test_empty_source_with_null_is_allowed():
-    table = {NULL: {"haus": 0.5, "x": 0.5}}
+    table = {"haus": {NULL: 0.5}, "x": {NULL: 0.5}}
     tm = LexicalTranslationModel(table=table, use_null=True, direction=Direction.FORWARD)
     h = cond_cross_entropy(tm, tokenize(""), tokenize("haus"))
     assert h == pytest.approx(-math.log(0.5), abs=1e-12)
@@ -189,8 +194,8 @@ def test_reverse_direction_swaps_roles():
     model, _ = train_model1(toy_corpus(), iterations=2, use_null=False,
                             direction=Direction.REVERSE)
     # conditioning side is now the target language
-    assert "the" in model.table
-    assert "das" in model.table["the"]
+    assert "das" in model.table
+    assert "the" in model.table["das"]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -242,3 +247,169 @@ def test_external_scores_must_be_dense(tmp_path):
     (tmp_path / "s.tsv").write_text("0\t1.0\n2\t1.0\n", encoding="utf-8")
     with pytest.raises(ExternalScoreError, match="dense"):
         load_external_scores(tmp_path / "s.tsv")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the string-keyed, cond-major loops the gen-major
+# table replaced. The kernels must agree with them exactly, not approximately.
+# ---------------------------------------------------------------------------
+
+
+def reference_cond_cross_entropy(cond_major, use_null, x, y):
+    cond_tokens = [NULL] + x.tokens if use_null else x.tokens
+    norm = len(cond_tokens)
+    log_probs = []
+    for g in y.tokens:
+        mass = math.fsum(cond_major.get(c, {}).get(g, 0.0) for c in cond_tokens)
+        log_probs.append(math.log(max(mass / norm, PROB_FLOOR)))
+    return -math.fsum(log_probs) / len(y.tokens)
+
+
+def reference_train_model1(oriented, iterations):
+    """Cond-major EM from uniform initialization over (cond tokens, gen tokens)."""
+    cooc = {}
+    for cond_tokens, gen_tokens in oriented:
+        for c in cond_tokens:
+            cooc.setdefault(c, set()).update(gen_tokens)
+    table = {}
+    for cond_tokens, gen_tokens in oriented:
+        for c in cond_tokens:
+            row = table.setdefault(c, {})
+            for g in gen_tokens:
+                if g not in row:
+                    row[g] = 1.0 / len(cooc[c])
+    for _ in range(iterations):
+        counts = {c: {} for c in table}
+        totals = {c: 0.0 for c in table}
+        for cond_tokens, gen_tokens in oriented:
+            for g in gen_tokens:
+                z = 0.0
+                for c in cond_tokens:
+                    z += table[c][g]
+                for c in cond_tokens:
+                    share = table[c][g] / z
+                    counts[c][g] = counts[c].get(g, 0.0) + share
+                    totals[c] += share
+        for c, row in counts.items():
+            table[c] = {g: v / totals[c] for g, v in row.items()}
+    return table
+
+
+def gen_major(cond_major):
+    table = {}
+    for cond, row in cond_major.items():
+        for gen, p in row.items():
+            table.setdefault(gen, {})[cond] = p
+    return table
+
+
+TABLE_WORDS = ["a", "b", "c", "d"]
+# "oov" is in no table; words repeat freely on both sides.
+SENTENCE_WORDS = st.sampled_from(TABLE_WORDS + ["oov"])
+
+
+@st.composite
+def random_tm_case(draw):
+    use_null = draw(st.booleans())
+    conds = TABLE_WORDS + ([NULL] if use_null else [])
+    probs = st.floats(min_value=0.0, max_value=1.0)
+    cond_major = {
+        c: {g: draw(probs) for g in draw(st.sets(st.sampled_from(TABLE_WORDS)))}
+        for c in draw(st.sets(st.sampled_from(conds)))
+    }
+    # An empty source is valid only with the NULL word.
+    x = draw(st.lists(SENTENCE_WORDS, min_size=0 if use_null else 1, max_size=8))
+    y = draw(st.lists(SENTENCE_WORDS, min_size=1, max_size=8))
+    return cond_major, use_null, Sentence(x, " ".join(x)), Sentence(y, " ".join(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_tm_case())
+@example(  # an empty source scored against the NULL word alone
+    case=(
+        {NULL: {"a": 0.25, "b": 0.75}, "a": {"a": 1.0}},
+        True,
+        tokenize(""),
+        tokenize("a b b oov"),
+    )
+)
+def test_gen_major_kernel_equals_cond_major_reference(case):
+    cond_major, use_null, x, y = case
+    tm = LexicalTranslationModel(
+        table=gen_major(cond_major), use_null=use_null, direction=Direction.FORWARD
+    )
+    assert cond_cross_entropy(tm, x, y) == reference_cond_cross_entropy(
+        cond_major, use_null, x, y
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    use_null=st.booleans(),
+    direction=st.sampled_from(list(Direction)),
+)
+def test_em_table_equals_cond_major_reference(seed, use_null, direction):
+    rng = random.Random(seed)
+    words = ["w%d" % i for i in range(6)]
+    corpus = [
+        pair(
+            i,
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 5))),
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 5))),
+        )
+        for i in range(rng.randint(1, 8))
+    ]
+    oriented = []
+    for p in corpus:
+        cond, gen = (p.src, p.tgt) if direction is Direction.FORWARD else (p.tgt, p.src)
+        if cond.tokens and gen.tokens:
+            oriented.append(([NULL] + cond.tokens if use_null else cond.tokens, gen.tokens))
+    assume(oriented)  # otherwise training rightly fails: no usable pair
+    model, trace = train_model1(
+        corpus, iterations=4, use_null=use_null, direction=direction, min_gain=None
+    )
+    assert len(trace) == 4
+    assert model.table == gen_major(reference_train_model1(oriented, 4))  # exact
+
+
+def test_cond_sorted_file_loads_to_the_saved_table(tmp_path):
+    model, _ = train_model1(toy_corpus(), iterations=3, use_null=True)
+    save_tm(model, tmp_path / "gen.tm")
+    lines = (tmp_path / "gen.tm").read_text(encoding="utf-8").splitlines(keepends=True)
+    header, rows = lines[:4], lines[4:]
+    cond_sorted = sorted(rows, key=lambda row: row.split("\t")[:2])
+    assert cond_sorted != rows  # the older (cond, gen) row order really differs
+    (tmp_path / "cond.tm").write_text("".join(header + cond_sorted), encoding="utf-8")
+    assert load_tm(tmp_path / "cond.tm").table == load_tm(tmp_path / "gen.tm").table
+
+
+def test_save_writes_rows_in_gen_cond_order(tmp_path):
+    model, _ = train_model1(toy_corpus(), iterations=2, use_null=True)
+    save_tm(model, tmp_path / "m.tm")
+    rows = (tmp_path / "m.tm").read_text(encoding="utf-8").splitlines()[4:]
+    keys = [tuple(reversed(row.split("\t")[:2])) for row in rows]
+    assert keys == sorted(keys)
+    assert len(rows) == sum(len(column) for column in model.table.values())
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5", "1.5", "abc"])
+def test_load_rejects_a_bad_probability_with_file_and_line(tmp_path, bad):
+    model, _ = train_model1(toy_corpus(), iterations=1)
+    save_tm(model, tmp_path / "m.tm")
+    lines = (tmp_path / "m.tm").read_text(encoding="utf-8").splitlines()
+    cond, gen, _ = lines[6].split("\t")
+    lines[6] = f"{cond}\t{gen}\t{bad}"
+    (tmp_path / "bad.tm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"bad\.tm: line 7: .*{bad}"):
+        load_tm(tmp_path / "bad.tm")
+
+
+def test_load_rejects_a_row_of_wrong_arity_with_file_and_line(tmp_path):
+    model, _ = train_model1(toy_corpus(), iterations=1)
+    save_tm(model, tmp_path / "m.tm")
+    lines = (tmp_path / "m.tm").read_text(encoding="utf-8").splitlines()
+    lines[5] = "only\ttwo"
+    (tmp_path / "bad.tm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=r"bad\.tm: line 6: expected"):
+        load_tm(tmp_path / "bad.tm")

@@ -12,6 +12,7 @@ from pairsieve.errors import (
     TrainingError,
 )
 from pairsieve.ngram_lm import (
+    BOS,
     EOS,
     UNK,
     NgramLanguageModel,
@@ -203,3 +204,100 @@ def test_load_version_mismatch_is_explicit(tmp_path):
     )
     with pytest.raises(IncompatibleModelError):
         load_lm(tmp_path / "v9.lm")
+
+
+def reference_event_log_probs(lm, tokens):
+    """The per-event loop that the precomputed log-probability tables replaced."""
+    mapped = [t if t in lm.vocab else UNK for t in tokens]
+    padded = [BOS] * (lm.order - 1) + mapped + [EOS]
+    n_hist = lm.order - 1
+    kv = lm.k * lm.vocab_size
+    out = []
+    for i in range(n_hist, len(padded)):
+        history = tuple(padded[i - n_hist:i])
+        numer = lm.ngram_counts.get(history + (padded[i],), 0) + lm.k
+        denom = lm.context_counts.get(history, 0) + kv
+        out.append(math.log(numer / denom))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    order=st.integers(min_value=1, max_value=4),
+    k=st.floats(min_value=1e-3, max_value=5.0),
+    min_count=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+    queries=st.lists(
+        st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "w4", "oov1", "oov2"]),
+                 min_size=1, max_size=10),
+        min_size=1, max_size=5,
+    ),
+)
+def test_log_prob_tables_equal_reference_loop(order, k, min_count, seed, queries):
+    rng = random.Random(seed)
+    words = ["w%d" % i for i in range(5)]
+    corpus = [
+        tokenize(" ".join(rng.choice(words) for _ in range(rng.randint(1, 6))))
+        for _ in range(rng.randint(1, 12))
+    ]
+    lm = train_ngram(corpus, order=order, k=k, vocab_min_count=min_count)
+    for tokens in queries:
+        expected = reference_event_log_probs(lm, tokens)
+        assert lm._event_log_probs(tokens) == expected  # exact, not approx
+        sentence = tokenize(" ".join(tokens))
+        assert cross_entropy(lm, sentence) == -math.fsum(expected) / len(expected)
+
+
+def _edit_saved_model(tmp_path, edit):
+    lm = train_ngram(sentences("a b a", "b a"), order=2, k=0.5, vocab_min_count=1)
+    save_lm(lm, tmp_path / "m.lm")
+    lines = (tmp_path / "m.lm").read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    (tmp_path / "bad.lm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return tmp_path / "bad.lm"
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "0.0", "nan", "inf"])
+def test_load_rejects_a_bad_add_k_with_file_and_line(tmp_path, k):
+    def edit(lines):
+        lines[2] = f"k\t{k}"
+
+    with pytest.raises(ModelFormatError, match=r"bad\.lm: line 3: add-k"):
+        load_lm(_edit_saved_model(tmp_path, edit))
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_load_rejects_order_below_one_with_file_and_line(tmp_path, order):
+    def edit(lines):
+        lines[1] = f"order\t{order}"
+
+    with pytest.raises(ModelFormatError, match=r"bad\.lm: line 2: order must be >= 1"):
+        load_lm(_edit_saved_model(tmp_path, edit))
+
+
+def test_load_rejects_a_negative_count_with_file_and_line(tmp_path):
+    def edit(lines):
+        ngram, _ = lines[-1].split("\t")
+        lines[-1] = f"{ngram}\t-3"
+
+    path = _edit_saved_model(tmp_path, edit)
+    n_lines = len(path.read_text(encoding="utf-8").splitlines())
+    with pytest.raises(ModelFormatError, match=rf"bad\.lm: line {n_lines}: negative count"):
+        load_lm(path)
+
+
+def test_load_rejects_an_empty_vocab(tmp_path):
+    def edit(lines):
+        lines[3:] = ["vocab\t0", "ngrams\t0"]
+
+    with pytest.raises(ModelFormatError, match=r"bad\.lm: line 4: vocab must not be empty"):
+        load_lm(_edit_saved_model(tmp_path, edit))
+
+
+def test_load_rejects_counts_beyond_float_range(tmp_path):
+    def edit(lines):
+        ngram, _ = lines[-1].split("\t")
+        lines[-1] = f"{ngram}\t{10 ** 400}"
+
+    with pytest.raises(ModelFormatError, match=r"bad\.lm: cannot build log-probabilities"):
+        load_lm(_edit_saved_model(tmp_path, edit))
