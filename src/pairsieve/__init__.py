@@ -2,7 +2,6 @@
 and cross-entropy difference, then select, extract, and weight sentence pairs."""
 
 from .corpus import (
-    CorpusStream,
     Provenance,
     Sentence,
     SentencePair,

@@ -85,6 +85,11 @@ class _AtomicSession:
         self._pending.clear()
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on, which may be fewer than the machine has."""
+    return len(os.sched_getaffinity(0))
+
+
 def _sniff_scorer(path: str, role: str) -> Scorer:
     """Load whatever model file sits at ``path`` and adapt it to the role.
 
@@ -236,11 +241,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    n_records = corpus_io.count_lines(args.scores) - 1  # header line
     session = _AtomicSession()
-    n = emit_weights(
-        read_score_file(args.scores), n_records, session.path(args.out)
-    )
+    n = emit_weights(read_score_file(args.scores), session.path(args.out))
     session.commit()
     log.info("wrote %d weights -> %s", n, args.out)
     return 0
@@ -436,7 +438,7 @@ class PipelineConfig:
         ):
             raise ConfigError("config needs trusted_tsv or trusted_src + trusted_tgt")
         try:
-            workers = int(merged["workers"]) if merged["workers"] else (os.cpu_count() or 1)
+            workers = int(merged["workers"]) if merged["workers"] else _default_workers()
             return cls(
                 candidate_tsv=candidate_tsv,
                 candidate_src=merged.get("candidate_src"),
@@ -572,9 +574,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     artifacts["selected.src"] = f"{prefix}.selected.src"
     artifacts["selected.tgt"] = f"{prefix}.selected.tgt"
 
-    emit_weights(
-        read_score_file(scores_partial), n_scored, session.path(f"{prefix}.weights.txt")
-    )
+    emit_weights(read_score_file(scores_partial), session.path(f"{prefix}.weights.txt"))
     artifacts["weights.txt"] = f"{prefix}.weights.txt"
 
     with open(session.path(f"{prefix}.resolved.cfg"), "w", encoding="utf-8") as fh:
@@ -641,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trusted", action="store_true",
                    help="mark every pair trusted: adequacy forced to 1")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
     p.set_defaults(func=_cmd_score)
 

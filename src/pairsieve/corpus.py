@@ -7,6 +7,7 @@ forward pass; memory use is independent of corpus length.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -63,111 +64,85 @@ def _decode_line(data: bytes, path: str, line_no: int) -> str:
         ) from exc
 
 
-def _iter_lines(path: str | Path) -> Iterator[str]:
+def _iter_lines(path: str | Path, offset: int = 0, first_line: int = 1) -> Iterator[str]:
     # Binary read so decode errors can name a byte offset within the line.
     with open(path, "rb") as fh:
-        for line_no, data in enumerate(fh, start=1):
+        fh.seek(offset)
+        for line_no, data in enumerate(fh, start=first_line):
             yield _decode_line(data.rstrip(b"\n"), str(path), line_no)
 
 
-def count_lines(path: str | Path) -> int:
+def count_lines(path: str | Path, every: int) -> tuple[int, list[int]]:
+    """The line count of a file, and the byte offset where line i*every
+    starts for i = 0, 1, ... (the file size for the line after the last)."""
+    offsets = [0]
+    pos = 0
     n = 0
     with open(path, "rb") as fh:
-        for _ in fh:
+        for line in fh:
+            pos += len(line)
             n += 1
-    return n
+            if n % every == 0:
+                offsets.append(pos)
+    return n, offsets
 
 
-class CorpusStream:
-    """Single-consumer iterator of SentencePair with a running count.
+def _check_twin_lengths(
+    src_path: str | Path, n_src: int, tgt_path: str | Path, n_tgt: int
+) -> None:
+    if n_src != n_tgt:
+        longer, shorter = (src_path, tgt_path) if n_src > n_tgt else (tgt_path, src_path)
+        raise CorpusFormatError(
+            f"line-count mismatch: {longer} continues past the last line of "
+            f"{shorter}; first unmatched line is {min(n_src, n_tgt) + 1} of {longer}"
+        )
 
-    Not thread-safe; downstream parallelism shards id ranges instead.
+
+def corpus_offsets(
+    path: str | Path | None = None,
+    src_path: str | Path | None = None,
+    tgt_path: str | Path | None = None,
+    *,
+    every: int,
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Pair count of a TSV or twin-file corpus, and for pair i*every the
+    byte offset where it starts in each file, as :func:`open_corpus` takes it.
+
+    Twin files of different lengths fail here, before any pair is read.
     """
-
-    def __init__(self, pairs: Iterator[SentencePair]):
-        self._pairs = pairs
-        self.count = 0
-
-    def __iter__(self) -> CorpusStream:
-        return self
-
-    def __next__(self) -> SentencePair:
-        pair = next(self._pairs)
-        self.count += 1
-        return pair
+    if path is not None:
+        n, offsets = count_lines(path, every)
+        return n, [(offset,) for offset in offsets]
+    n_src, src_offsets = count_lines(src_path, every)
+    n_tgt, tgt_offsets = count_lines(tgt_path, every)
+    _check_twin_lengths(src_path, n_src, tgt_path, n_tgt)
+    return n_src, list(zip(src_offsets, tgt_offsets))
 
 
-def read_parallel(
-    src_path: str | Path,
-    tgt_path: str | Path,
-    lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
-    eager_check: bool = True,
-) -> CorpusStream:
-    """Stream sentence pairs from twin one-sentence-per-line files.
-
-    Line counts are compared up front (both sides are seekable files); the
-    exhaustion check below stays as a backstop against concurrent appends.
-    """
-    if eager_check:
-        n_src, n_tgt = count_lines(src_path), count_lines(tgt_path)
-        if n_src != n_tgt:
-            longer = src_path if n_src > n_tgt else tgt_path
+def _tsv_rows(path: str | Path, offset: int, first_line: int) -> Iterator[list[str]]:
+    for line_no, line in enumerate(_iter_lines(path, offset, first_line), first_line):
+        columns = line.split("\t")
+        if len(columns) != 2:
             raise CorpusFormatError(
-                f"line-count mismatch: {src_path} has {n_src} lines, "
-                f"{tgt_path} has {n_tgt}; first unmatched line is "
-                f"{min(n_src, n_tgt) + 1} of {longer}"
+                f"{path}: line {line_no}: expected 2 tab-separated "
+                f"columns, found {len(columns)}"
             )
+        yield columns
 
-    def gen() -> Iterator[SentencePair]:
-        src_iter, tgt_iter = _iter_lines(src_path), _iter_lines(tgt_path)
-        pair_id = 0
-        while True:
-            src_line = next(src_iter, None)
-            tgt_line = next(tgt_iter, None)
-            if src_line is None and tgt_line is None:
-                return
-            if src_line is None or tgt_line is None:
-                longer = tgt_path if src_line is None else src_path
-                raise CorpusFormatError(
-                    f"line-count mismatch: {longer} continues past line "
-                    f"{pair_id} of the shorter file; "
-                    f"first unmatched line is {pair_id + 1}"
-                )
-            yield SentencePair(
-                id=pair_id,
-                src=tokenize(src_line, lowercase),
-                tgt=tokenize(tgt_line, lowercase),
-                provenance=provenance,
+
+def _twin_rows(
+    src_path: str | Path, tgt_path: str | Path, offsets: tuple[int, ...], first_line: int
+) -> Iterator[tuple[str, str]]:
+    src_lines = _iter_lines(src_path, offsets[0], first_line)
+    tgt_lines = _iter_lines(tgt_path, offsets[1], first_line)
+    rows = itertools.zip_longest(src_lines, tgt_lines)
+    for line_no, (src, tgt) in enumerate(rows, first_line):
+        if src is None or tgt is None:
+            # Every earlier line matched, so the shorter file ended before this one.
+            _check_twin_lengths(
+                src_path, line_no - (src is None), tgt_path, line_no - (tgt is None)
             )
-            pair_id += 1
-
-    return CorpusStream(gen())
-
-
-def read_tsv(
-    path: str | Path,
-    lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
-) -> CorpusStream:
-    """Stream sentence pairs from a 2-column TSV file."""
-
-    def gen() -> Iterator[SentencePair]:
-        for pair_id, line in enumerate(_iter_lines(path)):
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {pair_id + 1}: expected 2 tab-separated "
-                    f"columns, found {len(columns)}"
-                )
-            yield SentencePair(
-                id=pair_id,
-                src=tokenize(columns[0], lowercase),
-                tgt=tokenize(columns[1], lowercase),
-                provenance=provenance,
-            )
-
-    return CorpusStream(gen())
+        yield src, tgt
 
 
 def open_corpus(
@@ -176,25 +151,60 @@ def open_corpus(
     tgt_path: str | Path | None = None,
     lowercase: bool = False,
     provenance: Provenance = Provenance.CANDIDATE,
-) -> CorpusStream:
-    """Open either a TSV corpus or a twin-file corpus, whichever was given."""
+    start: int = 0,
+    count: int | None = None,
+    offsets: tuple[int, ...] = (0, 0),
+) -> Iterator[SentencePair]:
+    """Stream pairs [start, start+count) of a TSV corpus (``path``) or of
+    twin files; ``count=None`` reads to the end.
+
+    ``offsets`` holds the byte offset of pair ``start`` in each file, from
+    :func:`corpus_offsets`. Twin files of different lengths fail when the
+    shorter one ends.
+    """
     if path is not None:
         if src_path is not None or tgt_path is not None:
             raise CorpusFormatError("give either a TSV path or twin paths, not both")
-        return read_tsv(path, lowercase, provenance)
-    if src_path is None or tgt_path is None:
+        rows = _tsv_rows(path, offsets[0], start + 1)
+    elif src_path is None or tgt_path is None:
         raise CorpusFormatError("twin-file corpus needs both source and target paths")
-    return read_parallel(src_path, tgt_path, lowercase, provenance)
+    else:
+        rows = _twin_rows(src_path, tgt_path, offsets, start + 1)
+    return (
+        SentencePair(
+            id=pair_id,
+            src=tokenize(src, lowercase),
+            tgt=tokenize(tgt, lowercase),
+            provenance=provenance,
+        )
+        for pair_id, (src, tgt) in enumerate(itertools.islice(rows, count), start)
+    )
+
+
+def read_parallel(
+    src_path: str | Path,
+    tgt_path: str | Path,
+    lowercase: bool = False,
+    provenance: Provenance = Provenance.CANDIDATE,
+) -> Iterator[SentencePair]:
+    """Stream sentence pairs from twin one-sentence-per-line files."""
+    return open_corpus(
+        src_path=src_path, tgt_path=tgt_path, lowercase=lowercase, provenance=provenance
+    )
+
+
+def read_tsv(
+    path: str | Path,
+    lowercase: bool = False,
+    provenance: Provenance = Provenance.CANDIDATE,
+) -> Iterator[SentencePair]:
+    """Stream sentence pairs from a 2-column TSV file."""
+    return open_corpus(path=path, lowercase=lowercase, provenance=provenance)
 
 
 def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:
     """Read a monolingual file into memory, one Sentence per line."""
     return [tokenize(line, lowercase) for line in _iter_lines(path)]
-
-
-def target_sentences(pairs: Iterable[SentencePair]) -> Iterator[Sentence]:
-    for pair in pairs:
-        yield pair.tgt
 
 
 def write_parallel(

@@ -224,11 +224,26 @@ def _bad_row(path: str | Path, lines: list[str], line: str) -> ModelFormatError:
     return ModelFormatError(f"{path}: line {line_no}: {why}")
 
 
+def _repeated_row(path: str | Path, rows: list[str]) -> ModelFormatError:
+    """The error for a (cond, gen) pair given by two rows, found only once
+    :func:`load_tm` has counted fewer table entries than rows."""
+    seen: dict[tuple[str, ...], int] = {}
+    for line_no, line in enumerate(rows, start=5):
+        key = tuple(line.split("\t")[:2])
+        if key in seen:
+            break
+        seen[key] = line_no
+    return ModelFormatError(
+        f"{path}: line {line_no}: repeats the (cond, gen) pair of line {seen[key]}"
+    )
+
+
 def load_tm(path: str | Path) -> LexicalTranslationModel:
     """Read a table written by :func:`save_tm`; rows may come in any order.
 
-    Every probability must be a number in [0, 1]; any other value raises
-    :class:`ModelFormatError` naming the file and line.
+    Every probability must be a number in [0, 1] and each (cond, gen) pair
+    may appear once; anything else raises :class:`ModelFormatError` naming
+    the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -282,6 +297,8 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
             if column is None:
                 column = table[gen] = {}
         column[cond] = prob
+    if sum(map(len, table.values())) != n_rows:
+        raise _repeated_row(path, lines[4:4 + n_rows])
     if 4 + n_rows < len(lines):
         raise fail(4 + n_rows + 1, "trailing content after row section")
 

@@ -25,11 +25,10 @@ from .corpus import (
     DEFAULT_MAX_TOKENS,
     Provenance,
     SentencePair,
-    _decode_line,
-    tokenize,
+    corpus_offsets,
+    open_corpus,
 )
 from .errors import (
-    CorpusFormatError,
     ExternalScoreError,
     ModelFormatError,
     ScoreDomainError,
@@ -317,9 +316,14 @@ def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
 # Parallel scoring: shard the corpus into contiguous id ranges, score shards
 # in worker processes, and write shard outputs back in shard order. Each
 # record is a pure function of its pair, so output bytes are identical for
-# any worker count. Workers seek straight to precomputed byte offsets rather
-# than re-scanning the file.
+# any worker count. Workers seek straight to byte offsets found by one scan
+# rather than re-reading the file from the start.
 # ---------------------------------------------------------------------------
+
+MAX_SHARD_LINES = 25_000
+# Lines between recorded byte offsets, so shards start on multiples of it;
+# it divides MAX_SHARD_LINES.
+OFFSET_GRANULE = 1_000
 
 _WORKER_STATE: dict | None = None
 
@@ -329,80 +333,42 @@ def _init_worker(state: dict) -> None:
     _WORKER_STATE = state
 
 
-def _line_offsets(path: str | Path, every: int) -> tuple[list[int], int]:
-    """Byte offset of line i*every for each i, plus the total line count."""
-    offsets = [0]
-    pos = 0
-    n = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            pos += len(line)
-            n += 1
-            if n % every == 0:
-                offsets.append(pos)
-    return offsets, n
+def shard_plan(n_pairs: int, workers: int) -> list[tuple[int, int]]:
+    """(start, count) of each shard: contiguous ranges covering [0, n_pairs).
+
+    The shard count is the least multiple of ``workers`` whose shards each
+    hold at most MAX_SHARD_LINES lines. Shards start on OFFSET_GRANULE
+    boundaries, and their lengths differ by at most one granule.
+    """
+    if n_pairs == 0:
+        return []
+    granules = -(-n_pairs // OFFSET_GRANULE)
+    per_shard = MAX_SHARD_LINES // OFFSET_GRANULE
+    k = workers * -(-granules // (workers * per_shard))
+    bounds = [min(i * granules // k * OFFSET_GRANULE, n_pairs) for i in range(k + 1)]
+    return [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(k)]
 
 
-def _read_lines_at(
-    path: str | Path, offset: int, first_line: int, count: int
-) -> Iterator[str]:
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for i in range(count):
-            data = fh.readline()
-            if not data:
-                return
-            yield _decode_line(data.rstrip(b"\n"), str(path), first_line + i + 1)
-
-
-def _shard_pairs(state: dict, shard: dict) -> Iterator[SentencePair]:
-    start, count = shard["start"], shard["count"]
-    lowercase = state["lowercase"]
-    provenance = state["provenance"]
-    if state["path"] is not None:
-        for i, line in enumerate(
-            _read_lines_at(state["path"], shard["offset"], start, count)
-        ):
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise CorpusFormatError(
-                    f"{state['path']}: line {start + i + 1}: expected 2 "
-                    f"tab-separated columns, found {len(columns)}"
-                )
-            yield SentencePair(
-                id=start + i,
-                src=tokenize(columns[0], lowercase),
-                tgt=tokenize(columns[1], lowercase),
-                provenance=provenance,
-            )
-    else:
-        src_lines = _read_lines_at(state["src_path"], shard["src_offset"], start, count)
-        tgt_lines = _read_lines_at(state["tgt_path"], shard["tgt_offset"], start, count)
-        for i, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines)):
-            yield SentencePair(
-                id=start + i,
-                src=tokenize(src_line, lowercase),
-                tgt=tokenize(tgt_line, lowercase),
-                provenance=provenance,
-            )
-
-
-def _score_shard(shard: dict) -> list[str]:
+def _score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:
     state = _WORKER_STATE
     assert state is not None
-    return [
-        format_record(
-            score_pair(
-                pair,
-                state["fwd"],
-                state["rev"],
-                state["lm_in"],
-                state["lm_out"],
-                state["max_tokens"],
-            )
-        )
-        for pair in _shard_pairs(state, shard)
-    ]
+    start, count, offsets = shard
+    pairs = open_corpus(**state["corpus"], start=start, count=count, offsets=offsets)
+    records = score_corpus(pairs, *state["scorers"], state["max_tokens"])
+    return "".join(format_record(record) + "\n" for record in records)
+
+
+def _score_shards(shards: list, state: dict, workers: int) -> Iterator[str]:
+    """Each shard's formatted records, in shard order."""
+    if workers <= 1 or len(shards) <= 1:
+        _init_worker(state)
+        yield from map(_score_shard, shards)
+        return
+    # Fork hands the models to the workers without pickling them.
+    with multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(state,)
+    ) as pool:
+        yield from pool.imap(_score_shard, shards)
 
 
 def score_corpus_to_file(
@@ -418,47 +384,23 @@ def score_corpus_to_file(
     provenance: Provenance = Provenance.CANDIDATE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     workers: int = 1,
-    shard_lines: int = 25000,
 ) -> int:
     """Score a corpus from disk into a score file, optionally in parallel.
 
     Returns the number of records written. Output is byte-identical for any
-    worker count: shards are contiguous id ranges re-emitted in order. An
-    external score table must hold one score per pair; a table of any other
-    length fails before the first pair is scored.
+    worker count: shards are contiguous id ranges re-emitted in order (see
+    :func:`shard_plan`). Twin files of different lengths, and an external
+    score table whose length is not the pair count, fail before the first
+    pair is scored.
     """
-    if path is not None:
-        offsets, n_pairs = _line_offsets(path, shard_lines)
-        shards = [
-            {
-                "start": start,
-                "count": min(shard_lines, n_pairs - start),
-                "offset": offsets[start // shard_lines],
-            }
-            for start in range(0, n_pairs, shard_lines)
-        ]
-    else:
-        src_offsets, n_src = _line_offsets(src_path, shard_lines)
-        tgt_offsets, n_tgt = _line_offsets(tgt_path, shard_lines)
-        if n_src != n_tgt:
-            longer = src_path if n_src > n_tgt else tgt_path
-            raise CorpusFormatError(
-                f"line-count mismatch: {src_path} has {n_src} lines, "
-                f"{tgt_path} has {n_tgt}; first unmatched line is "
-                f"{min(n_src, n_tgt) + 1} of {longer}"
-            )
-        n_pairs = n_src
-        shards = [
-            {
-                "start": start,
-                "count": min(shard_lines, n_pairs - start),
-                "src_offset": src_offsets[start // shard_lines],
-                "tgt_offset": tgt_offsets[start // shard_lines],
-            }
-            for start in range(0, n_pairs, shard_lines)
-        ]
-
-    for scorer in (fwd_scorer, rev_scorer, in_scorer, out_scorer):
+    n_pairs, offsets = corpus_offsets(path, src_path, tgt_path, every=OFFSET_GRANULE)
+    shards = [
+        (start, count, offsets[start // OFFSET_GRANULE])
+        for start, count in shard_plan(n_pairs, workers)
+        if count
+    ]
+    scorers = (fwd_scorer, rev_scorer, in_scorer, out_scorer)
+    for scorer in scorers:
         if isinstance(scorer, TableScorer) and len(scorer.table) != n_pairs:
             raise ExternalScoreError(
                 f"{scorer.table.source}: {len(scorer.table)} scores for a corpus "
@@ -466,33 +408,21 @@ def score_corpus_to_file(
             )
 
     state = {
-        "path": path,
-        "src_path": src_path,
-        "tgt_path": tgt_path,
-        "lowercase": lowercase,
-        "provenance": provenance,
-        "fwd": fwd_scorer,
-        "rev": rev_scorer,
-        "lm_in": in_scorer,
-        "lm_out": out_scorer,
+        "corpus": {
+            "path": path,
+            "src_path": src_path,
+            "tgt_path": tgt_path,
+            "lowercase": lowercase,
+            "provenance": provenance,
+        },
+        "scorers": scorers,
         "max_tokens": max_tokens,
     }
 
     n_written = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(SCORE_HEADER) + "\n")
-        if workers <= 1 or len(shards) <= 1:
-            _init_worker(state)
-            for shard in shards:
-                for line in _score_shard(shard):
-                    fh.write(line + "\n")
-                    n_written += 1
-        else:
-            with multiprocessing.get_context().Pool(
-                workers, initializer=_init_worker, initargs=(state,)
-            ) as pool:
-                for lines in pool.imap(_score_shard, shards):
-                    for line in lines:
-                        fh.write(line + "\n")
-                        n_written += 1
+        for blob in _score_shards(shards, state, workers):
+            fh.write(blob)
+            n_written += blob.count("\n")
     return n_written

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import SentencePair, write_parallel, write_tsv
-from .errors import CorpusFormatError, ScoreDomainError, StructuralError
+from .errors import ScoreDomainError, StructuralError
 from .scoring import ScoreRecord
 
 # A resident (combined, id) tuple costs ~110 bytes with CPython overhead, so
@@ -126,13 +126,11 @@ def format_weight(value: float) -> str:
     return f"{value:.6g}"
 
 
-def emit_weights(
-    records: Iterable[ScoreRecord], corpus_size: int, path: str | Path
-) -> int:
+def emit_weights(records: Iterable[ScoreRecord], path: str | Path) -> int:
     """Write one combined-score weight per line, line i belonging to pair i.
 
-    Records must arrive in id order and cover 0..corpus_size-1 densely; any
-    gap, duplicate, or overrun is a structural error.
+    Records must arrive in id order and cover 0..n-1 densely; any gap,
+    duplicate, or out-of-order id is a structural error.
     """
     expected = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -146,10 +144,6 @@ def emit_weights(
                 raise StructuralError(
                     f"weight emission: duplicate or out-of-order id {record.pair_id}"
                 )
-            if expected >= corpus_size:
-                raise StructuralError(
-                    f"weight emission: id {record.pair_id} beyond corpus size {corpus_size}"
-                )
             if not (0.0 <= record.combined <= 1.0) or not math.isfinite(record.combined):
                 raise ScoreDomainError(
                     f"weight for pair {record.pair_id} outside [0, 1]: "
@@ -157,38 +151,7 @@ def emit_weights(
                 )
             fh.write(format_weight(record.combined) + "\n")
             expected += 1
-    if expected != corpus_size:
-        raise StructuralError(
-            f"weight emission: missing id {expected} (corpus size {corpus_size})"
-        )
     return expected
-
-
-def read_weights(path: str | Path) -> list[float]:
-    weights = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                weights.append(float(line.strip()))
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: non-numeric weight {line.strip()!r}"
-                ) from None
-    return weights
-
-
-def check_weight_alignment(weights_path: str | Path, corpus_size: int) -> int:
-    """Verify the weight file lines up one-to-one with a corpus of that size."""
-    weights = read_weights(weights_path)
-    if len(weights) != corpus_size:
-        raise StructuralError(
-            f"{weights_path}: {len(weights)} weights for a corpus of "
-            f"{corpus_size} lines"
-        )
-    bad = next((w for w in weights if not 0.0 <= w <= 1.0), None)
-    if bad is not None:
-        raise StructuralError(f"{weights_path}: weight {bad!r} outside [0, 1]")
-    return len(weights)
 
 
 def extract_selected(

@@ -28,7 +28,6 @@ from pairsieve.scoring import (
     score_corpus_to_file,
 )
 from pairsieve.selection import (
-    check_weight_alignment,
     emit_weights,
     extract_selected,
     select_top_n,
@@ -185,13 +184,12 @@ def test_criterion_5_selection_contract_100k(tmp_path):
         assert select_top_n(tied, 4).selected_ids == [0, 1, 2, 3]
 
         weights_path = tmp_path / "weights.txt"
-        emit_weights(read_score_file(scores_path), n, weights_path)
-        assert check_weight_alignment(weights_path, n) == n
-        with open(weights_path, encoding="utf-8") as fh:
-            for i, (line, c) in enumerate(zip(fh, combined)):
-                assert float(line) == pytest.approx(c, abs=5e-7)
-                if i > 500:
-                    break
+        assert emit_weights(read_score_file(scores_path), weights_path) == n
+        weights = [float(line) for line in weights_path.read_text(encoding="utf-8").splitlines()]
+        assert len(weights) == n
+        assert all(0.0 <= w <= 1.0 for w in weights)
+        for w, c in zip(weights[:502], combined):
+            assert w == pytest.approx(c, abs=5e-7)
 
         extract_selected(
             iter(corpus), selection,
@@ -289,8 +287,11 @@ def test_criterion_7_scale_smoke_1m(tmp_path):
         assert in_memory.cutoff_score == spilled.cutoff_score
 
         weights_path = tmp_path / "weights.txt"
-        emit_weights(read_score_file(scores_path), n, weights_path)
-        assert check_weight_alignment(weights_path, n) == n
+        assert emit_weights(read_score_file(scores_path), weights_path) == n
+        with open(weights_path, encoding="utf-8") as fh:
+            weights = [float(line) for line in fh]
+        assert len(weights) == n
+        assert all(0.0 <= w <= 1.0 for w in weights)
 
         peak_gib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024**2)
         assert peak_gib < 4.0, f"peak memory {peak_gib:.2f} GiB exceeds budget"

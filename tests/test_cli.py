@@ -1,11 +1,12 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pairsieve.cli import PipelineConfig, main, parse_config_file
+from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
 from pairsieve.errors import ConfigError
 from pairsieve.lexical_tm import Direction, train_model1
@@ -327,6 +328,19 @@ def test_mismatched_corpus_exits_1_without_output(workdir, tmp_path):
     )
     assert code == 1
     assert not (tmp_path / "x.tsv").exists()
+
+
+def test_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    args = build_parser().parse_args([
+        "score", "--in", "c.tsv", "--fwd-model", "f", "--rev-model", "r",
+        "--in-lm", "i", "--out-lm", "o", "--out", "s.tsv",
+    ])
+    assert args.workers == 1
+    config = PipelineConfig.from_mapping(
+        {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o", "top_n": "5"}
+    )
+    assert config.workers == 1
 
 
 def test_module_entry_point_runs():

@@ -413,3 +413,13 @@ def test_load_rejects_a_row_of_wrong_arity_with_file_and_line(tmp_path):
     (tmp_path / "bad.tm").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ModelFormatError, match=r"bad\.tm: line 6: expected"):
         load_tm(tmp_path / "bad.tm")
+
+
+def test_load_rejects_a_repeated_row_naming_both_lines(tmp_path):
+    (tmp_path / "dup.tm").write_text(
+        "lexical-tm\t1\ndirection\tfwd\nnull\t0\nrows\t3\n"
+        "a\tx\t0.25\na\ty\t0.75\na\tx\t0.5\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelFormatError, match=r"dup\.tm: line 7: .*line 5"):
+        load_tm(tmp_path / "dup.tm")

@@ -8,6 +8,8 @@ from pairsieve.corpus import Provenance, Sentence, SentencePair, tokenize
 from pairsieve.errors import ScoreDomainError, ScoringError
 from pairsieve.lexical_tm import ExternalScoreTable
 from pairsieve.scoring import (
+    MAX_SHARD_LINES,
+    OFFSET_GRANULE,
     SCORE_HEADER,
     TableScorer,
     adequacy,
@@ -19,6 +21,7 @@ from pairsieve.scoring import (
     read_score_file,
     score_corpus,
     score_corpus_to_file,
+    shard_plan,
     write_score_file,
 )
 
@@ -230,19 +233,46 @@ def _write_corpus(tmp_path, n):
 
 
 def test_file_scoring_identical_across_worker_counts(tmp_path):
-    n = 300
+    # Above one offset granule, so 2 workers get 2 non-empty shards and 4
+    # workers 3 (the plan's fourth shard is empty).
+    n = 2 * OFFSET_GRANULE + 345
     src, tgt = _write_corpus(tmp_path, n)
+    tsv = tmp_path / "c.tsv"
+    with open(src) as fs, open(tgt) as ft, open(tsv, "w") as fh:
+        for s, t in zip(fs, ft):
+            fh.write(s.rstrip("\n") + "\t" + t)
     rng = random.Random(2)
     tables = [
         ExternalScoreTable([rng.uniform(0, 5) for _ in range(n)]) for _ in range(4)
     ]
     scorers = [TableScorer(t) for t in tables]
-    outputs = []
-    for workers in (1, 2, 4):
-        out = tmp_path / f"scores.w{workers}.tsv"
-        written = score_corpus_to_file(
-            out, *scorers, src_path=src, tgt_path=tgt, workers=workers, shard_lines=64
-        )
-        assert written == n
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    for name, corpus in (("twin", {"src_path": src, "tgt_path": tgt}), ("tsv", {"path": tsv})):
+        outputs = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"scores.{name}.w{workers}.tsv"
+            written = score_corpus_to_file(out, *scorers, workers=workers, **corpus)
+            assert written == n
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_shard_plan_covers_the_corpus_in_bounded_shards():
+    for n in (0, 1, 999, 1000, 1001, 2345, 4000, 25_000, 50_000, 50_001, 1_000_000):
+        for workers in (1, 2, 3, 4):
+            plan = shard_plan(n, workers)
+            starts = [start for start, _ in plan]
+            lengths = [count for _, count in plan]
+            assert len(plan) % workers == 0
+            assert starts == [sum(lengths[:i]) for i in range(len(plan))]
+            assert sum(lengths) == n
+            assert all(start % OFFSET_GRANULE == 0 for start in starts)
+            assert all(count <= MAX_SHARD_LINES for count in lengths)
+            assert not lengths or max(lengths) - min(lengths) <= OFFSET_GRANULE
+            # One multiple of workers fewer would overfill a shard.
+            assert (len(plan) - workers) * MAX_SHARD_LINES < n or not plan
+    assert shard_plan(0, 2) == []
+    assert shard_plan(1, 2) == [(0, 0), (0, 1)]
+    # The sievebench crawls at 2 workers: score-crawl, table-select, pipeline-train.
+    assert shard_plan(50_000, 2) == [(0, 25_000), (25_000, 25_000)]
+    assert shard_plan(100_000, 2) == [(i * 25_000, 25_000) for i in range(4)]
+    assert shard_plan(4_000, 2) == [(0, 2_000), (2_000, 2_000)]

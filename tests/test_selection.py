@@ -7,10 +7,8 @@ from pairsieve.corpus import Sentence, SentencePair
 from pairsieve.errors import StructuralError
 from pairsieve.scoring import ScoreRecord, make_record
 from pairsieve.selection import (
-    check_weight_alignment,
     emit_weights,
     extract_selected,
-    read_weights,
     select_by_threshold,
     select_top_n,
 )
@@ -111,37 +109,32 @@ def test_selection_is_idempotent():
 
 def test_emit_weights_formats_integers_bare(tmp_path):
     path = tmp_path / "w.txt"
-    emit_weights([rec(0, 1.0), rec(1, 0.25)], 2, path)
+    emit_weights([rec(0, 1.0), rec(1, 0.25)], path)
     assert path.read_text(encoding="utf-8") == "1\n0.25\n"
 
 
 def test_emit_weights_gap_names_missing_id(tmp_path):
     with pytest.raises(StructuralError, match="missing id 1"):
-        emit_weights([rec(0, 1.0), rec(2, 0.5)], 3, tmp_path / "w.txt")
+        emit_weights([rec(0, 1.0), rec(2, 0.5)], tmp_path / "w.txt")
 
 
 def test_emit_weights_duplicate_id(tmp_path):
     with pytest.raises(StructuralError, match="duplicate"):
-        emit_weights([rec(0, 1.0), rec(0, 0.5)], 2, tmp_path / "w.txt")
-
-
-def test_emit_weights_short_record_stream(tmp_path):
-    with pytest.raises(StructuralError, match="missing id 2"):
-        emit_weights([rec(0, 1.0), rec(1, 0.5)], 3, tmp_path / "w.txt")
+        emit_weights([rec(0, 1.0), rec(0, 0.5)], tmp_path / "w.txt")
 
 
 def test_weight_alignment_check(tmp_path):
     path = tmp_path / "w.txt"
-    emit_weights([rec(i, 0.5) for i in range(4)], 4, path)
-    assert check_weight_alignment(path, 4) == 4
-    with pytest.raises(StructuralError):
-        check_weight_alignment(path, 5)
+    assert emit_weights([rec(i, 0.5) for i in range(4)], path) == 4
+    weights = [float(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert weights == [0.5] * 4
 
 
 def test_read_weights_round_trip(tmp_path):
     path = tmp_path / "w.txt"
-    emit_weights([rec(0, 1.0), rec(1, 0.367879)], 2, path)
-    assert read_weights(path) == [1.0, 0.367879]
+    emit_weights([rec(0, 1.0), rec(1, 0.367879)], path)
+    weights = [float(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert weights == [1.0, 0.367879]
 
 
 def corpus_pairs(n):
