@@ -60,11 +60,19 @@ def test_read_parallel_yields_sequential_ids(tmp_path):
 def test_read_parallel_line_count_mismatch_names_first_unmatched(tmp_path):
     _write(tmp_path / "c.src", ["a", "b", "c"])
     _write(tmp_path / "c.tgt", ["1", "2", "3", "4"])
-    stream = read_parallel(tmp_path / "c.src", tmp_path / "c.tgt")
-    # The pairs before the mismatch stream out; the error comes when the
-    # shorter file ends, naming the longer file and its first unmatched line.
-    assert [pair.tgt.raw for pair in itertools.islice(stream, 3)] == ["1", "2", "3"]
     expected = f"first unmatched line is 4 of {tmp_path / 'c.tgt'}"
+    with pytest.raises(CorpusFormatError, match=re.escape(expected)):
+        list(read_parallel(tmp_path / "c.src", tmp_path / "c.tgt"))
+
+
+def test_read_parallel_exhaustion_check_without_eager(tmp_path):
+    _write(tmp_path / "c.src", ["a", "b", "c", "d"])
+    _write(tmp_path / "c.tgt", ["1", "2", "3"])
+    stream = read_parallel(tmp_path / "c.src", tmp_path / "c.tgt")
+    # No pre-pass counts the lines: the pairs before the mismatch stream out,
+    # and the error comes when the shorter file ends.
+    assert [pair.src.raw for pair in itertools.islice(stream, 3)] == ["a", "b", "c"]
+    expected = f"first unmatched line is 4 of {tmp_path / 'c.src'}"
     with pytest.raises(CorpusFormatError, match=re.escape(expected)):
         next(stream)
 
