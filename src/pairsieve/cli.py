@@ -20,6 +20,7 @@ from .corpus import DEFAULT_MAX_TOKENS, Provenance, open_corpus, read_mono, samp
 from .errors import ConfigError, PairsieveError
 from .lexical_tm import (
     DEFAULT_ITERATIONS,
+    TM_MAGIC,
     Direction,
     load_external_scores,
     load_tm,
@@ -30,10 +31,12 @@ from .ngram_lm import (
     DEFAULT_ADD_K,
     DEFAULT_MIN_COUNT,
     DEFAULT_ORDER,
+    LM_MAGIC,
     load_lm,
     save_lm,
     train_ngram,
 )
+from .model_file import read_magic
 from .noise import (
     DEFAULT_NOISE_RATE,
     NoiseKind,
@@ -96,13 +99,8 @@ def _sniff_scorer(path: str, role: str) -> Scorer:
     Role 'fwd'/'rev' accepts a matching-direction translation model or an
     external score table; 'in'/'out' accepts a language model or a table.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not a recognized model or score file") from None
-    magic = first.split("\t", 1)[0]
-    if magic == "lexical-tm":
+    magic = read_magic(path)
+    if magic == TM_MAGIC:
         if role not in ("fwd", "rev"):
             raise ConfigError(
                 f"{path}: a translation model cannot serve as the {role!r} "
@@ -116,7 +114,7 @@ def _sniff_scorer(path: str, role: str) -> Scorer:
                 f"{role!r} scorer needs {wanted.value!r}"
             )
         return Model1Scorer(tm)
-    if magic == "ngram-lm":
+    if magic == LM_MAGIC:
         if role not in ("in", "out"):
             raise ConfigError(
                 f"{path}: a language model cannot serve as the {role!r} "

@@ -23,10 +23,10 @@ from .errors import (
     EmptySentenceError,
     EmptySourceError,
     ExternalScoreError,
-    IncompatibleModelError,
     ModelFormatError,
     TrainingError,
 )
+from .model_file import ModelFile, first_line, invalid_utf8
 
 # The empty string can never collide with a real token (tokens are maximal
 # non-whitespace runs), so it doubles as the NULL word key.
@@ -34,7 +34,7 @@ NULL = ""
 
 PROB_FLOOR = 1e-9
 
-_MAGIC = "lexical-tm"
+TM_MAGIC = "lexical-tm"
 _VERSION = 1
 
 DEFAULT_ITERATIONS = 5
@@ -195,7 +195,7 @@ def save_tm(tm: LexicalTranslationModel, path: str | Path) -> None:
     repr and therefore reload exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC}\t{_VERSION}\n")
+        fh.write(first_line(TM_MAGIC, _VERSION) + "\n")
         fh.write(f"direction\t{tm.direction.value}\n")
         fh.write(f"null\t{int(tm.use_null)}\n")
         n_rows = sum(len(column) for column in tm.table.values())
@@ -205,39 +205,6 @@ def save_tm(tm: LexicalTranslationModel, path: str | Path) -> None:
             fh.writelines(f"{cond}\t{gen}\t{column[cond]!r}\n" for cond in sorted(column))
 
 
-def _bad_row(path: str | Path, lines: list[str], line: str) -> ModelFormatError:
-    """The error for a row that :func:`load_tm`'s row loop rejected.
-
-    The loop keeps no line counter: the first line with this text is the bad
-    one, because an identical earlier line would have failed first.
-    """
-    line_no = lines.index(line, 4) + 1
-    parts = line.split("\t")
-    if len(parts) != 3:
-        why = f"expected 'cond\\tgen\\tprob', got {line!r}"
-    else:
-        try:
-            float(parts[2])
-            why = f"probability {parts[2]!r} is not in [0, 1]"
-        except ValueError:
-            why = f"non-numeric probability: {parts[2]!r}"
-    return ModelFormatError(f"{path}: line {line_no}: {why}")
-
-
-def _repeated_row(path: str | Path, rows: list[str]) -> ModelFormatError:
-    """The error for a (cond, gen) pair given by two rows, found only once
-    :func:`load_tm` has counted fewer table entries than rows."""
-    seen: dict[tuple[str, ...], int] = {}
-    for line_no, line in enumerate(rows, start=5):
-        key = tuple(line.split("\t")[:2])
-        if key in seen:
-            break
-        seen[key] = line_no
-    return ModelFormatError(
-        f"{path}: line {line_no}: repeats the (cond, gen) pair of line {seen[key]}"
-    )
-
-
 def load_tm(path: str | Path) -> LexicalTranslationModel:
     """Read a table written by :func:`save_tm`; rows may come in any order.
 
@@ -245,52 +212,22 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
     may appear once; anything else raises :class:`ModelFormatError` naming
     the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    def fail(line_no: int, why: str) -> ModelFormatError:
-        return ModelFormatError(f"{path}: line {line_no}: {why}")
-
-    if not lines:
-        raise fail(1, "empty model file")
-    magic = lines[0].split("\t")
-    if len(magic) != 2 or magic[0] != _MAGIC or magic[1] != str(_VERSION):
-        raise IncompatibleModelError(
-            f"{path}: line 1: expected header '{_MAGIC}\\t{_VERSION}', "
-            f"got {lines[0]!r}"
-        )
-    if len(lines) < 4:
-        raise fail(len(lines) + 1, "truncated header")
-    try:
-        direction = Direction(lines[1].split("\t")[1])
-    except (IndexError, ValueError):
-        raise fail(2, f"bad direction header: {lines[1]!r}") from None
-    null_parts = lines[2].split("\t")
-    if len(null_parts) != 2 or null_parts[0] != "null" or null_parts[1] not in ("0", "1"):
-        raise fail(3, f"bad null header: {lines[2]!r}")
-    use_null = null_parts[1] == "1"
-    rows_parts = lines[3].split("\t")
-    if len(rows_parts) != 2 or rows_parts[0] != "rows":
-        raise fail(4, f"bad rows header: {lines[3]!r}")
-    try:
-        n_rows = int(rows_parts[1])
-    except ValueError:
-        raise fail(4, f"non-integer row count: {rows_parts[1]!r}") from None
-
-    if 4 + n_rows > len(lines):
-        raise fail(len(lines) + 1, "truncated row section")
+    model = ModelFile(path, TM_MAGIC, _VERSION)
+    direction = model.header(1, "direction", Direction)
+    use_null = bool(model.header(2, "null", ("0", "1").index))  # ValueError otherwise
+    n_rows = model.count(3, "rows")
+    rows = model.section(4, n_rows, "row")
     table: dict[str, dict[str, float]] = {}
     gen, column = None, {}
-    for line in lines[4:4 + n_rows]:
+    for line in rows:
         try:
             cond, row_gen, prob_text = line.split("\t")
             prob = float(prob_text)
         except ValueError:
-            raise _bad_row(path, lines, line) from None
+            prob = math.nan  # rejected with the row just below
         if not 0.0 <= prob <= 1.0:  # also false for nan
-            raise _bad_row(path, lines, line)
+            why = f"expected 'cond\\tgen\\tprob' with prob in [0, 1], got {line!r}"
+            raise model.row_error(4, line, why)
         if row_gen != gen:
             gen = row_gen
             column = table.get(gen)
@@ -298,9 +235,9 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
                 column = table[gen] = {}
         column[cond] = prob
     if sum(map(len, table.values())) != n_rows:
-        raise _repeated_row(path, lines[4:4 + n_rows])
-    if 4 + n_rows < len(lines):
-        raise fail(4 + n_rows + 1, "trailing content after row section")
+        keys = (line.rpartition("\t")[0] for line in rows)
+        raise model.repeat_error(4, keys, "(cond, gen) pair")
+    model.check_end(4 + n_rows, "row")
 
     return LexicalTranslationModel(table=table, use_null=use_null, direction=direction)
 
@@ -332,37 +269,40 @@ class ExternalScoreTable:
 def load_external_scores(path: str | Path) -> ExternalScoreTable:
     """Load a headerless TSV of (pair id, cross-entropy) with ids dense from 0."""
     entries: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
-                )
-            try:
-                pair_id = int(parts[0])
-            except ValueError:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: non-integer id {parts[0]!r}"
-                ) from None
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: non-finite score {parts[1]!r}"
-                )
-            if pair_id in entries:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: duplicate id {pair_id}"
-                )
-            entries[pair_id] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
+                    )
+                try:
+                    pair_id = int(parts[0])
+                except ValueError:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: non-integer id {parts[0]!r}"
+                    ) from None
+                try:
+                    value = float(parts[1])
+                except ValueError:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: non-finite score {parts[1]!r}"
+                    )
+                if pair_id in entries:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: duplicate id {pair_id}"
+                    )
+                entries[pair_id] = value
+    except UnicodeDecodeError:
+        raise invalid_utf8(path, ExternalScoreError) from None
     if not entries:
         raise ExternalScoreError(f"{path}: empty score table")
     missing = next((i for i in range(len(entries)) if i not in entries), None)

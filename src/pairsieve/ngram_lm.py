@@ -18,13 +18,14 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .corpus import Sentence
-from .errors import EmptySentenceError, IncompatibleModelError, ModelFormatError, TrainingError
+from .errors import EmptySentenceError, ModelFormatError, TrainingError
+from .model_file import ModelFile, first_line
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-_MAGIC = "ngram-lm"
+LM_MAGIC = "ngram-lm"
 _VERSION = 1
 
 DEFAULT_ORDER = 3
@@ -176,7 +177,7 @@ def save_lm(lm: NgramLanguageModel, path: str | Path) -> None:
     reloads bit-exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC}\t{_VERSION}\n")
+        fh.write(first_line(LM_MAGIC, _VERSION) + "\n")
         fh.write(f"order\t{lm.order}\n")
         fh.write(f"k\t{lm.k!r}\n")
         fh.write(f"vocab\t{lm.vocab_size}\n")
@@ -187,32 +188,6 @@ def save_lm(lm: NgramLanguageModel, path: str | Path) -> None:
             fh.write(f"{' '.join(ngram)}\t{lm.ngram_counts[ngram]}\n")
 
 
-def _bad_ngram_row(
-    path: str | Path, lines: list[str], start: int, line: str, order: int
-) -> ModelFormatError:
-    """The error for an n-gram row that :func:`load_lm`'s row loop rejected.
-
-    The loop keeps no line counter: the first line with this text from
-    ``start`` on is the bad one, because an identical earlier line would
-    have failed first.
-    """
-    line_no = lines.index(line, start) + 1
-    parts = line.split("\t")
-    if len(parts) != 2:
-        why = f"expected 'ngram\\tcount', got {line!r}"
-    else:
-        try:
-            count = int(parts[1])
-        except ValueError:
-            why = f"non-integer count: {parts[1]!r}"
-        else:
-            if count < 0:
-                why = f"negative count: {parts[1]!r}"
-            else:
-                why = f"n-gram arity {len(parts[0].split(' '))} != order {order}"
-    return ModelFormatError(f"{path}: line {line_no}: {why}")
-
-
 def load_lm(path: str | Path) -> NgramLanguageModel:
     """Read a model written by :func:`save_lm`.
 
@@ -220,82 +195,43 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
     and every count >= 0; a violation raises :class:`ModelFormatError`
     naming the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    def fail(line_no: int, why: str) -> ModelFormatError:
-        return ModelFormatError(f"{path}: line {line_no}: {why}")
-
-    if not lines:
-        raise fail(1, "empty model file")
-    magic = lines[0].split("\t")
-    if len(magic) != 2 or magic[0] != _MAGIC or magic[1] != str(_VERSION):
-        raise IncompatibleModelError(
-            f"{path}: line 1: expected header '{_MAGIC}\\t{_VERSION}', "
-            f"got {lines[0]!r}"
-        )
-
-    def header_int(idx: int, key: str) -> int:
-        if idx >= len(lines):
-            raise fail(idx + 1, f"missing '{key}' header")
-        parts = lines[idx].split("\t")
-        if len(parts) != 2 or parts[0] != key:
-            raise fail(idx + 1, f"expected '{key}' header, got {lines[idx]!r}")
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise fail(idx + 1, f"non-integer {key}: {parts[1]!r}") from None
-
-    order = header_int(1, "order")
+    model = ModelFile(path, LM_MAGIC, _VERSION)
+    order = model.header(1, "order", int)
     if order < 1:
-        raise fail(2, f"order must be >= 1, got {order}")
-    if 2 >= len(lines) or not lines[2].startswith("k\t"):
-        raise fail(3, "missing 'k' header")
-    try:
-        k = float(lines[2].split("\t", 1)[1])
-    except ValueError:
-        raise fail(3, f"non-numeric k: {lines[2]!r}") from None
+        raise model.error(1, f"order must be >= 1, got {order}")
+    k = model.header(2, "k", float)
     if not 0.0 < k < math.inf:
-        raise fail(3, f"add-k constant must be finite and > 0, got {k!r}")
-    vocab_size = header_int(3, "vocab")
+        raise model.error(2, f"add-k constant must be finite and > 0, got {k!r}")
+    vocab_size = model.count(3, "vocab")
     if vocab_size < 1:
-        raise fail(4, f"vocab must not be empty, got {vocab_size}")
-
-    vocab_start = 4
-    vocab_end = vocab_start + vocab_size
-    if vocab_end > len(lines):
-        raise fail(len(lines) + 1, "truncated vocab section")
-    vocab = set(lines[vocab_start:vocab_end])
+        raise model.error(3, f"vocab must not be empty, got {vocab_size}")
+    words = model.section(4, vocab_size, "vocab")
+    vocab = set(words)
     if len(vocab) != vocab_size:
-        raise fail(vocab_end, "duplicate entries in vocab section")
+        raise model.repeat_error(4, words, "vocab entry")
 
-    n_ngrams = header_int(vocab_end, "ngrams")
-    ngram_start = vocab_end + 1
-    ngram_end = ngram_start + n_ngrams
-    if ngram_end > len(lines):
-        raise fail(len(lines) + 1, "truncated n-gram section")
+    ngram_start = 5 + vocab_size
+    n_ngrams = model.count(ngram_start - 1, "ngrams")
+    rows = model.section(ngram_start, n_ngrams, "n-gram")
     ngram_counts: dict[tuple[str, ...], int] = {}
-    for line in lines[ngram_start:ngram_end]:
+    for line in rows:
         try:
             text, count_text = line.split("\t")
             count = int(count_text)
         except ValueError:
-            raise _bad_ngram_row(path, lines, ngram_start, line, order) from None
+            why = f"expected 'ngram\\tcount' with an integer count, got {line!r}"
+            raise model.row_error(ngram_start, line, why) from None
         ngram = tuple(text.split(" "))
-        if len(ngram) != order or count < 0:
-            raise _bad_ngram_row(path, lines, ngram_start, line, order)
+        if count < 0:
+            raise model.row_error(ngram_start, line, f"negative count: {count_text!r}")
+        if len(ngram) != order:
+            why = f"n-gram arity {len(ngram)} != order {order}"
+            raise model.row_error(ngram_start, line, why)
         ngram_counts[ngram] = count
     if len(ngram_counts) != n_ngrams:
-        seen: set[str] = set()
-        for idx in range(ngram_start, ngram_end):
-            text = lines[idx].split("\t")[0]
-            if text in seen:
-                raise fail(idx + 1, f"duplicate n-gram {text!r}")
-            seen.add(text)
-    if ngram_end < len(lines):
-        raise fail(ngram_end + 1, "trailing content after n-gram section")
+        keys = (line.partition("\t")[0] for line in rows)
+        raise model.repeat_error(ngram_start, keys, "n-gram")
+    model.check_end(ngram_start + n_ngrams, "n-gram")
 
     try:
         return NgramLanguageModel(order=order, k=k, vocab=vocab, ngram_counts=ngram_counts)

@@ -161,6 +161,32 @@ def test_score_rejects_an_lm_with_k_zero_at_load(workdir, tmp_path, caplog):
     assert record.message.startswith(f"{bad}: line 3: ")
 
 
+@pytest.mark.parametrize(
+    "name, line_no",
+    [("fwd.tm", 5), ("fwd.tm", None), ("fwd.tsv", 1), ("fwd.tsv", 2001)],
+)
+def test_score_rejects_invalid_utf8_naming_file_and_line(workdir, tmp_path, caplog, name, line_no):
+    """A bad byte in a TM or table, inside or past the first 8 KiB, fails the
+    load with one log line naming the file and line (None: the last)."""
+    if name.endswith(".tsv"):
+        lines = [f"{i}\t1.0".encode() for i in range(2001)]
+    else:
+        lines = (workdir / name).read_bytes().split(b"\n")[:-1]
+    index = len(lines) - 1 if line_no is None else line_no - 1
+    lines[index] = b"\xff" + lines[index]
+    bad = tmp_path / name
+    bad.write_bytes(b"".join(line + b"\n" for line in lines))
+    assert bad.stat().st_size > 8192
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        *model_args(workdir)[2:], "--fwd-model", bad, "--out", tmp_path / "x.tsv",
+    )
+    assert code == 1
+    assert not (tmp_path / "x.tsv").exists()
+    (record,) = caplog.records
+    assert record.message.startswith(f"{bad}: line {index + 1}: invalid UTF-8")
+
+
 def test_trusted_flag_forces_adequacy_to_one(workdir, tmp_path):
     out = tmp_path / "trusted.scores.tsv"
     code = run_cli(
