@@ -9,19 +9,30 @@ from __future__ import annotations
 
 import argparse
 import logging
+import multiprocessing
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .corpus import DEFAULT_MAX_TOKENS, Provenance, open_corpus, read_mono, sample
-from .errors import ConfigError, PairsieveError
+from .corpus import (
+    DEFAULT_MAX_TOKENS,
+    Provenance,
+    SentencePair,
+    open_corpus,
+    read_mono,
+    sample,
+)
+from .errors import ConfigError, PairsieveError, TrainingError
 from .lexical_tm import (
     DEFAULT_ITERATIONS,
     TM_MAGIC,
     Direction,
+    EmTrace,
+    LexicalTranslationModel,
     load_external_scores,
     load_tm,
     save_tm,
@@ -36,7 +47,7 @@ from .ngram_lm import (
     save_lm,
     train_ngram,
 )
-from .model_file import read_magic
+from .model_file import invalid_utf8, read_magic
 from .noise import (
     DEFAULT_NOISE_RATE,
     NoiseKind,
@@ -91,6 +102,17 @@ class _AtomicSession:
 def _default_workers() -> int:
     """The CPUs this process may run on, which may be fewer than the machine has."""
     return len(os.sched_getaffinity(0))
+
+
+def _worker_count(text: str) -> int:
+    """The argparse type of ``--workers``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _sniff_scorer(path: str, role: str) -> Scorer:
@@ -367,15 +389,18 @@ _PIPELINE_KEYS = {
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, eq, value = stripped.partition("=")
-            if not eq:
-                raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                key, eq, value = stripped.partition("=")
+                if not eq:
+                    raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise invalid_utf8(path, ConfigError) from None
     return values
 
 
@@ -437,6 +462,8 @@ class PipelineConfig:
             raise ConfigError("config needs trusted_tsv or trusted_src + trusted_tgt")
         try:
             workers = int(merged["workers"]) if merged["workers"] else _default_workers()
+            if workers < 1:
+                raise ConfigError(f"workers must be >= 1, got {workers}")
             return cls(
                 candidate_tsv=candidate_tsv,
                 candidate_src=merged.get("candidate_src"),
@@ -491,9 +518,89 @@ class PipelineConfig:
         }
 
 
+def _train_tm(
+    trusted_sample: list[SentencePair], direction: Direction, config: PipelineConfig
+) -> tuple[LexicalTranslationModel, EmTrace]:
+    return train_model1(
+        trusted_sample,
+        iterations=config.tm_iterations,
+        use_null=config.tm_null,
+        direction=direction,
+    )
+
+
+# The trusted sample of the forked trainer, which it inherits through fork.
+_FORKED_SAMPLE: list[SentencePair] | None = None
+
+
+def _init_trainer(trusted_sample: list[SentencePair]) -> None:
+    global _FORKED_SAMPLE
+    _FORKED_SAMPLE = trusted_sample
+
+
+def _train_tm_forked(
+    direction: Direction, config: PipelineConfig
+) -> tuple[LexicalTranslationModel, EmTrace]:
+    assert _FORKED_SAMPLE is not None
+    return _train_tm(_FORKED_SAMPLE, direction, config)
+
+
+@contextmanager
+def _reverse_tm_training(
+    trusted_sample: list[SentencePair], config: PipelineConfig
+) -> Iterator[Callable[[], tuple[LexicalTranslationModel, EmTrace]]]:
+    """Start training the reverse translation model; yield the call that
+    returns it with its EM trace.
+
+    With ``workers`` >= 2 one forked child trains it while the caller goes
+    on. The child inherits the sample through fork, so only the trained model
+    comes back pickled, and it is joined when the block ends, on every path.
+    With one worker the call trains the model in-process. Both ways train it
+    exactly as ``train_model1`` does, so its bytes do not depend on
+    ``workers``.
+    """
+    if config.workers < 2:
+        yield lambda: _train_tm(trusted_sample, Direction.REVERSE, config)
+        return
+    # Imported here: the pool's modules add 1.4 MiB to every command's
+    # resident set, and only this one uses them.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_trainer,
+        initargs=(trusted_sample,),
+    ) as pool:
+        future = pool.submit(_train_tm_forked, Direction.REVERSE, config)
+
+        def result() -> tuple[LexicalTranslationModel, EmTrace]:
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                raise TrainingError(
+                    "reverse translation-model training: the training process died"
+                ) from None
+
+        yield result
+
+
+def _log_trace(direction: Direction, trace: EmTrace) -> None:
+    log.info(
+        "pipeline: trained %s model, %d EM iterations, final log-likelihood %.3f",
+        direction.value, len(trace), trace[-1],
+    )
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Train both translation models and both LMs, then score, select, and
-    weight the candidate corpus. Returns the map of written artifacts."""
+    weight the candidate corpus. Returns the map of written artifacts.
+
+    With ``workers`` >= 2 the reverse translation model trains in a forked
+    child while this process trains everything else; the artifacts are the
+    same bytes for any ``workers``.
+    """
     prefix = config.out_prefix
     session = _AtomicSession()
     artifacts = {}
@@ -503,35 +610,28 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         open_corpus(**config.trusted_kwargs()), config.sample_size, config.seed
     )
     log.info("pipeline: training translation models (%d pairs)", len(trusted_sample))
-    fwd_tm, _ = train_model1(
-        trusted_sample,
-        iterations=config.tm_iterations,
-        use_null=config.tm_null,
-        direction=Direction.FORWARD,
-    )
-    rev_tm, _ = train_model1(
-        trusted_sample,
-        iterations=config.tm_iterations,
-        use_null=config.tm_null,
-        direction=Direction.REVERSE,
-    )
-    log.info("pipeline: training in-domain language model")
-    in_lm = train_ngram(
-        [p.tgt for p in trusted_sample],
-        order=config.lm_order,
-        k=config.lm_add_k,
-        vocab_min_count=config.lm_min_count,
-    )
-    log.info("pipeline: sampling candidate corpus for the out-of-domain model")
-    candidate_sample = sample(
-        open_corpus(**config.candidate_kwargs()), config.sample_size, config.seed + 1
-    )
-    out_lm = train_ngram(
-        [p.tgt for p in candidate_sample],
-        order=config.lm_order,
-        k=config.lm_add_k,
-        vocab_min_count=config.lm_min_count,
-    )
+    with _reverse_tm_training(trusted_sample, config) as reverse_tm:
+        fwd_tm, fwd_trace = _train_tm(trusted_sample, Direction.FORWARD, config)
+        _log_trace(Direction.FORWARD, fwd_trace)
+        log.info("pipeline: training in-domain language model")
+        in_lm = train_ngram(
+            [p.tgt for p in trusted_sample],
+            order=config.lm_order,
+            k=config.lm_add_k,
+            vocab_min_count=config.lm_min_count,
+        )
+        log.info("pipeline: sampling candidate corpus for the out-of-domain model")
+        candidate_sample = sample(
+            open_corpus(**config.candidate_kwargs()), config.sample_size, config.seed + 1
+        )
+        out_lm = train_ngram(
+            [p.tgt for p in candidate_sample],
+            order=config.lm_order,
+            k=config.lm_add_k,
+            vocab_min_count=config.lm_min_count,
+        )
+        rev_tm, rev_trace = reverse_tm()
+        _log_trace(Direction.REVERSE, rev_trace)
 
     for name, saver in (
         ("fwd.tm", lambda p: save_tm(fwd_tm, p)),
@@ -639,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trusted", action="store_true",
                    help="mark every pair trusted: adequacy forced to 1")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
     p.set_defaults(func=_cmd_score)
 

@@ -35,6 +35,7 @@ from .errors import (
     ScoringError,
 )
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
+from .model_file import invalid_utf8
 from .ngram_lm import NgramLanguageModel, cross_entropy
 
 Scorer = Callable[[SentencePair], float]
@@ -304,12 +305,15 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
 
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
     """Stream records back from a score file written by write_score_file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "\t".join(SCORE_HEADER):
-            raise ModelFormatError(f"{path}: line 1: bad or missing score header")
-        for line_no, line in enumerate(fh, start=2):
-            yield parse_record(line.rstrip("\n"), str(path), line_no)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != "\t".join(SCORE_HEADER):
+                raise ModelFormatError(f"{path}: line 1: bad or missing score header")
+            for line_no, line in enumerate(fh, start=2):
+                yield parse_record(line.rstrip("\n"), str(path), line_no)
+    except UnicodeDecodeError:
+        raise invalid_utf8(path, ModelFormatError) from None
 
 
 # ---------------------------------------------------------------------------

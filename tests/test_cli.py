@@ -1,4 +1,6 @@
+import faulthandler
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from pairsieve import cli
 from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
-from pairsieve.errors import ConfigError
+from pairsieve.errors import ConfigError, TrainingError
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
 from pairsieve.noise import read_labels
@@ -332,6 +335,24 @@ def test_stats_empty_file_is_an_error(tmp_path):
     assert run_cli("stats", "--scores", path) == 1
 
 
+@pytest.mark.parametrize("command", ["stats", "select", "weights"])
+def test_score_file_with_invalid_utf8_names_file_and_line(workdir, tmp_path, caplog, command):
+    scores = _handmade_scores(tmp_path, [0.5] * 120)
+    lines = scores.read_bytes().split(b"\n")
+    lines[30] = b"\xff" + lines[30]
+    scores.write_bytes(b"\n".join(lines))
+    extra = {
+        "stats": [],
+        "select": ["--top-n", "5", "--in-src", workdir / "cand.src",
+                   "--in-tgt", workdir / "cand.tgt", "--out-prefix", tmp_path / "sel"],
+        "weights": ["--out", tmp_path / "w.txt"],
+    }[command]
+    assert run_cli(command, "--scores", scores, *extra) == 1
+    (record,) = caplog.records
+    assert record.message == f"{scores}: line 31: invalid UTF-8"
+    assert not {"sel.src", "sel.tgt", "w.txt"} & {p.name for p in tmp_path.iterdir()}
+
+
 def test_missing_required_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("score", "--out", tmp_path / "x.tsv")
@@ -367,6 +388,37 @@ def test_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
         {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o", "top_n": "5"}
     )
     assert config.workers == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_score_rejects_workers_below_one_as_a_usage_error(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "score", "--in", "c.tsv", "--fwd-model", "f", "--rev-model", "r",
+            "--in-lm", "i", "--out-lm", "o", "--out", tmp_path / "s.tsv",
+            "--workers", workers,
+        )
+    assert exc.value.code == 2
+    assert f"expected an integer >= 1, got {workers!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_pipeline_config_rejects_workers_below_one(workers):
+    with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
+        PipelineConfig.from_mapping(
+            {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o",
+             "top_n": "5", "workers": workers}
+        )
+
+
+def test_pipeline_config_with_invalid_utf8_names_file_and_line(tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"candidate_tsv = c.tsv\n\xfftrusted_tsv = t.tsv\n")
+    with pytest.raises(ConfigError, match=rf"^{cfg}: line 2: invalid UTF-8$"):
+        parse_config_file(cfg)
+    assert run_cli("pipeline", "--config", cfg) == 1
+    (record,) = caplog.records
+    assert record.message == f"{cfg}: line 2: invalid UTF-8"
 
 
 def test_module_entry_point_runs():
@@ -431,3 +483,66 @@ def test_pipeline_end_to_end_and_reruns_identically(workdir, tmp_path):
     assert run_cli("pipeline", "--config", cfg) == 0
     second = {p.name: p.read_bytes() for p in tmp_path.glob("pipe.*")}
     assert first == second
+
+
+def _pipeline_config(workdir, tmp_path, workers):
+    cfg = tmp_path / f"run{workers}.cfg"
+    cfg.write_text(
+        f"candidate_src = {workdir / 'cand.src'}\n"
+        f"candidate_tgt = {workdir / 'cand.tgt'}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\n"
+        "threshold = 0.05\nseed = 4\nsample_size = 300\nlm_order = 2\n"
+        f"workers = {workers}\nlog_level = error\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def test_pipeline_artifacts_do_not_depend_on_workers(workdir, tmp_path):
+    """Training the reverse model in a forked child writes the same bytes as
+    training both directions in-process."""
+    runs = {}
+    for workers in (1, 2):
+        assert run_cli("pipeline", "--config", _pipeline_config(workdir, tmp_path, workers)) == 0
+        runs[workers] = {p.name: p.read_bytes() for p in tmp_path.glob("pipe.*")}
+    one, two = runs[1], runs[2]
+    assert len(one) == 9 and one.keys() == two.keys()
+    for name in one:
+        if name != "pipe.resolved.cfg":
+            assert one[name] == two[name], name
+    changed = set(one["pipe.resolved.cfg"].splitlines()) ^ set(two["pipe.resolved.cfg"].splitlines())
+    assert changed == {b"workers = 1", b"workers = 2"}
+
+
+@pytest.mark.parametrize("failure", ["raises", "dies"])
+def test_pipeline_fails_cleanly_when_reverse_training_fails(
+    workdir, tmp_path, caplog, monkeypatch, failure
+):
+    """A TrainingError in the forked reverse trainer, or the trainer's death,
+    ends the run with exit 1 and one log line, no finished artifact and no
+    child left running. The child inherits the patch through fork."""
+    real_train, parent = cli.train_model1, os.getpid()
+
+    def train(parallel, *, direction, **kwargs):
+        if direction is Direction.REVERSE and os.getpid() != parent:
+            if failure == "dies":
+                os._exit(1)
+            raise TrainingError("reverse training failed in the child")
+        return real_train(parallel, direction=direction, **kwargs)
+
+    monkeypatch.setattr(cli, "train_model1", train)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
+    try:
+        code = run_cli("pipeline", "--config", _pipeline_config(workdir, tmp_path, 2))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == 1
+    (record,) = caplog.records
+    if failure == "dies":
+        assert record.message.startswith("reverse translation-model training: ")
+    else:
+        assert record.message == "reverse training failed in the child"
+    assert all(p.name.endswith(".partial") for p in tmp_path.glob("pipe.*"))
+    assert multiprocessing.active_children() == []

@@ -1,4 +1,5 @@
-"""Load errors of the two model-file loaders, and their behaviour on damaged files."""
+"""Load errors of the two model-file loaders, and how they and the score-file
+reader behave on damaged files."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from pairsieve.corpus import SentencePair, tokenize
 from pairsieve.errors import IncompatibleModelError, ModelFormatError
 from pairsieve.lexical_tm import load_tm, save_tm, train_model1
 from pairsieve.ngram_lm import load_lm, save_lm, train_ngram
+from pairsieve.scoring import ScoreRecord, read_score_file, write_score_file
 
 TM_LINES = [
     "lexical-tm\t1",
@@ -238,5 +240,32 @@ def test_a_damaged_model_file_loads_or_raises_model_format_error(saved_models, k
     path.write_bytes(mutate((saved_models / f"m.{kind}").read_bytes(), mutations))
     try:
         LOADERS[kind][0](path)
+    except ModelFormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved_scores(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scores")
+    nan = float("nan")
+    write_score_file(
+        [
+            ScoreRecord(0, 1.5, 2.25, 4.0, 3.5, 0.0907180, 0.606531, 0.0550232),
+            ScoreRecord(1, 0.5, 0.75, 3.0, 3.25, 1.0, 1.0, 1.0, trusted=True),
+            ScoreRecord(2, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags=("blank_src", "overlength_tgt")),
+            ScoreRecord(3, 12.0, 0.125, 9.5, 2.0, 1.23e-9, 0.000553084, 6.8e-13),
+        ],
+        root / "m.scores.tsv",
+    )
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_a_damaged_score_file_parses_or_raises_model_format_error(saved_scores, mutations):
+    path = saved_scores / "mutated.scores.tsv"
+    path.write_bytes(mutate((saved_scores / "m.scores.tsv").read_bytes(), mutations))
+    try:
+        list(read_score_file(path))
     except ModelFormatError:
         pass
