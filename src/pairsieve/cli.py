@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import logging
-import multiprocessing
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,7 +24,8 @@ from .corpus import (
     read_mono,
     sample,
 )
-from .errors import ConfigError, PairsieveError, TrainingError
+from .errors import ConfigError, PairsieveError
+from .forked import forked_map
 from .lexical_tm import (
     DEFAULT_ITERATIONS,
     TM_MAGIC,
@@ -104,15 +103,19 @@ def _default_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _worker_count(text: str) -> int:
-    """The argparse type of ``--workers``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer flag whose values start at ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _sniff_scorer(path: str, role: str) -> Scorer:
@@ -462,9 +465,7 @@ class PipelineConfig:
             raise ConfigError("config needs trusted_tsv or trusted_src + trusted_tgt")
         try:
             workers = int(merged["workers"]) if merged["workers"] else _default_workers()
-            if workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {workers}")
-            return cls(
+            config = cls(
                 candidate_tsv=candidate_tsv,
                 candidate_src=merged.get("candidate_src"),
                 candidate_tgt=merged.get("candidate_tgt"),
@@ -488,6 +489,13 @@ class PipelineConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from None
+        for key, low in (("workers", 1), ("top_n", 0), ("sample_size", 0), ("max_tokens", 1)):
+            value = getattr(config, key)
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if config.threshold is not None and not 0.0 <= config.threshold <= 1.0:
+            raise ConfigError(f"threshold must be in [0, 1], got {config.threshold}")
+        return config
 
     def to_text(self) -> str:
         lines = []
@@ -529,63 +537,6 @@ def _train_tm(
     )
 
 
-# The trusted sample of the forked trainer, which it inherits through fork.
-_FORKED_SAMPLE: list[SentencePair] | None = None
-
-
-def _init_trainer(trusted_sample: list[SentencePair]) -> None:
-    global _FORKED_SAMPLE
-    _FORKED_SAMPLE = trusted_sample
-
-
-def _train_tm_forked(
-    direction: Direction, config: PipelineConfig
-) -> tuple[LexicalTranslationModel, EmTrace]:
-    assert _FORKED_SAMPLE is not None
-    return _train_tm(_FORKED_SAMPLE, direction, config)
-
-
-@contextmanager
-def _reverse_tm_training(
-    trusted_sample: list[SentencePair], config: PipelineConfig
-) -> Iterator[Callable[[], tuple[LexicalTranslationModel, EmTrace]]]:
-    """Start training the reverse translation model; yield the call that
-    returns it with its EM trace.
-
-    With ``workers`` >= 2 one forked child trains it while the caller goes
-    on. The child inherits the sample through fork, so only the trained model
-    comes back pickled, and it is joined when the block ends, on every path.
-    With one worker the call trains the model in-process. Both ways train it
-    exactly as ``train_model1`` does, so its bytes do not depend on
-    ``workers``.
-    """
-    if config.workers < 2:
-        yield lambda: _train_tm(trusted_sample, Direction.REVERSE, config)
-        return
-    # Imported here: the pool's modules add 1.4 MiB to every command's
-    # resident set, and only this one uses them.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(
-        max_workers=1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_trainer,
-        initargs=(trusted_sample,),
-    ) as pool:
-        future = pool.submit(_train_tm_forked, Direction.REVERSE, config)
-
-        def result() -> tuple[LexicalTranslationModel, EmTrace]:
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                raise TrainingError(
-                    "reverse translation-model training: the training process died"
-                ) from None
-
-        yield result
-
-
 def _log_trace(direction: Direction, trace: EmTrace) -> None:
     log.info(
         "pipeline: trained %s model, %d EM iterations, final log-likelihood %.3f",
@@ -605,12 +556,21 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     session = _AtomicSession()
     artifacts = {}
 
+    # A missing candidate file fails here, not after the models are trained.
+    for path in (config.candidate_tsv, config.candidate_src, config.candidate_tgt):
+        if path is not None:
+            open(path, "rb").close()
     log.info("pipeline: sampling %d trusted pairs", config.sample_size)
     trusted_sample = sample(
         open_corpus(**config.trusted_kwargs()), config.sample_size, config.seed
     )
     log.info("pipeline: training translation models (%d pairs)", len(trusted_sample))
-    with _reverse_tm_training(trusted_sample, config) as reverse_tm:
+    with forked_map(
+        lambda pairs: _train_tm(pairs, Direction.REVERSE, config),
+        [trusted_sample],
+        config.workers,
+        lambda _: "reverse translation-model training",
+    ) as reverse_tm:
         fwd_tm, fwd_trace = _train_tm(trusted_sample, Direction.FORWARD, config)
         _log_trace(Direction.FORWARD, fwd_trace)
         log.info("pipeline: training in-domain language model")
@@ -630,7 +590,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             k=config.lm_add_k,
             vocab_min_count=config.lm_min_count,
         )
-        rev_tm, rev_trace = reverse_tm()
+        rev_tm, rev_trace = next(reverse_tm)
         _log_trace(Direction.REVERSE, rev_trace)
 
     for name, saver in (
@@ -739,15 +699,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trusted", action="store_true",
                    help="mark every pair trusted: adequacy forced to 1")
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
+    p.add_argument("--workers", type=_int_at_least(1), default=_default_workers())
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=DEFAULT_MAX_TOKENS)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("select", help="extract the best-scored pairs")
     _add_corpus_input_flags(p)
     p.add_argument("--scores", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--top-n", type=int)
+    group.add_argument("--top-n", type=_int_at_least(0))
     group.add_argument("--threshold", type=float)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--format", choices=("twin", "tsv"), default="twin")
@@ -794,11 +754,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except PairsieveError as exc:
+    except (PairsieveError, OSError) as exc:
         log.error("%s", exc)
         return 1
-    except OSError as exc:
-        log.error("%s", exc)
+    except Exception as exc:
+        debug = log.isEnabledFor(logging.DEBUG)
+        log.error("unexpected %s: %s", type(exc).__name__, exc, exc_info=debug)
         return 1
 
 

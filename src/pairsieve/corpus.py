@@ -181,27 +181,6 @@ def open_corpus(
     )
 
 
-def read_parallel(
-    src_path: str | Path,
-    tgt_path: str | Path,
-    lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
-) -> Iterator[SentencePair]:
-    """Stream sentence pairs from twin one-sentence-per-line files."""
-    return open_corpus(
-        src_path=src_path, tgt_path=tgt_path, lowercase=lowercase, provenance=provenance
-    )
-
-
-def read_tsv(
-    path: str | Path,
-    lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
-) -> Iterator[SentencePair]:
-    """Stream sentence pairs from a 2-column TSV file."""
-    return open_corpus(path=path, lowercase=lowercase, provenance=provenance)
-
-
 def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:
     """Read a monolingual file into memory, one Sentence per line."""
     return [tokenize(line, lowercase) for line in _iter_lines(path)]

@@ -16,7 +16,6 @@ built-in models and externally computed score tables are interchangeable.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from .errors import (
     ScoreDomainError,
     ScoringError,
 )
+from .forked import forked_map
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
 from .model_file import invalid_utf8
 from .ngram_lm import NgramLanguageModel, cross_entropy
@@ -329,13 +329,6 @@ MAX_SHARD_LINES = 25_000
 # it divides MAX_SHARD_LINES.
 OFFSET_GRANULE = 1_000
 
-_WORKER_STATE: dict | None = None
-
-
-def _init_worker(state: dict) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
 
 def shard_plan(n_pairs: int, workers: int) -> list[tuple[int, int]]:
     """(start, count) of each shard: contiguous ranges covering [0, n_pairs).
@@ -351,28 +344,6 @@ def shard_plan(n_pairs: int, workers: int) -> list[tuple[int, int]]:
     k = workers * -(-granules // (workers * per_shard))
     bounds = [min(i * granules // k * OFFSET_GRANULE, n_pairs) for i in range(k + 1)]
     return [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(k)]
-
-
-def _score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:
-    state = _WORKER_STATE
-    assert state is not None
-    start, count, offsets = shard
-    pairs = open_corpus(**state["corpus"], start=start, count=count, offsets=offsets)
-    records = score_corpus(pairs, *state["scorers"], state["max_tokens"])
-    return "".join(format_record(record) + "\n" for record in records)
-
-
-def _score_shards(shards: list, state: dict, workers: int) -> Iterator[str]:
-    """Each shard's formatted records, in shard order."""
-    if workers <= 1 or len(shards) <= 1:
-        _init_worker(state)
-        yield from map(_score_shard, shards)
-        return
-    # Fork hands the models to the workers without pickling them.
-    with multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(state,)
-    ) as pool:
-        yield from pool.imap(_score_shard, shards)
 
 
 def score_corpus_to_file(
@@ -397,9 +368,9 @@ def score_corpus_to_file(
     score table whose length is not the pair count, fail before the first
     pair is scored.
     """
-    n_pairs, offsets = corpus_offsets(path, src_path, tgt_path, every=OFFSET_GRANULE)
+    n_pairs, granule_offsets = corpus_offsets(path, src_path, tgt_path, every=OFFSET_GRANULE)
     shards = [
-        (start, count, offsets[start // OFFSET_GRANULE])
+        (start, count, granule_offsets[start // OFFSET_GRANULE])
         for start, count in shard_plan(n_pairs, workers)
         if count
     ]
@@ -411,22 +382,22 @@ def score_corpus_to_file(
                 f"of {n_pairs} pairs"
             )
 
-    state = {
-        "corpus": {
-            "path": path,
-            "src_path": src_path,
-            "tgt_path": tgt_path,
-            "lowercase": lowercase,
-            "provenance": provenance,
-        },
-        "scorers": scorers,
-        "max_tokens": max_tokens,
-    }
+    def score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:
+        start, count, offsets = shard
+        pairs = open_corpus(path, src_path, tgt_path, lowercase, provenance, start, count, offsets)
+        records = score_corpus(pairs, *scorers, max_tokens)
+        return "".join(format_record(record) + "\n" for record in records)
 
     n_written = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(SCORE_HEADER) + "\n")
-        for blob in _score_shards(shards, state, workers):
-            fh.write(blob)
-            n_written += blob.count("\n")
+        with forked_map(
+            score_shard,
+            shards,
+            min(workers, len(shards)),
+            lambda shard: f"scoring pairs {shard[0]}-{shard[0] + shard[1] - 1}",
+        ) as blobs:
+            for blob in blobs:
+                fh.write(blob)
+                n_written += blob.count("\n")
     return n_written

@@ -1,7 +1,10 @@
+import ast
 import faulthandler
 import math
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -390,25 +393,54 @@ def test_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
     assert config.workers == 1
 
 
-@pytest.mark.parametrize("workers", ["0", "-1", "two"])
-def test_score_rejects_workers_below_one_as_a_usage_error(tmp_path, capsys, workers):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [
+        pytest.param("--workers", "0", 1, id="0"),
+        pytest.param("--workers", "-1", 1, id="-1"),
+        pytest.param("--workers", "two", 1, id="two"),
+        pytest.param("--max-tokens", "0", 1, id="max-tokens-0"),
+        pytest.param("--top-n", "-1", 0, id="top-n--1"),
+    ],
+)
+def test_score_rejects_workers_below_one_as_a_usage_error(tmp_path, capsys, flag, value, low):
+    """Every integer flag with a range, --workers and --max-tokens of score
+    and --top-n of select, rejects a value outside it as a usage error."""
+    if flag == "--top-n":
+        argv = ["select", "--in", "c.tsv", "--scores", "s.tsv", "--out-prefix", tmp_path / "sel"]
+    else:
+        argv = [
             "score", "--in", "c.tsv", "--fwd-model", "f", "--rev-model", "r",
             "--in-lm", "i", "--out-lm", "o", "--out", tmp_path / "s.tsv",
-            "--workers", workers,
-        )
+        ]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, value)
     assert exc.value.code == 2
-    assert f"expected an integer >= 1, got {workers!r}" in capsys.readouterr().err
+    assert f"expected an integer >= {low}, got {value!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_pipeline_config_rejects_workers_below_one(workers):
-    with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
-        PipelineConfig.from_mapping(
-            {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o",
-             "top_n": "5", "workers": workers}
-        )
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("workers", "0", "workers must be >= 1, got 0", id="0"),
+        pytest.param("workers", "-1", "workers must be >= 1, got -1", id="-1"),
+        pytest.param("top_n", "-1", "top_n must be >= 0, got -1", id="top_n--1"),
+        pytest.param("sample_size", "-1", "sample_size must be >= 0, got -1", id="sample_size--1"),
+        pytest.param("max_tokens", "0", "max_tokens must be >= 1, got 0", id="max_tokens-0"),
+        pytest.param("threshold", "2", "threshold must be in [0, 1], got 2.0", id="threshold-2"),
+        pytest.param("threshold", "-0.5", "threshold must be in [0, 1], got -0.5", id="threshold--0.5"),
+        pytest.param("threshold", "nan", "threshold must be in [0, 1], got nan", id="threshold-nan"),
+    ],
+)
+def test_pipeline_config_rejects_workers_below_one(key, value, message):
+    """Every ranged config key, not only workers, fails when the config is read."""
+    raw = {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o", "top_n": "5"}
+    if key == "threshold":
+        del raw["top_n"]
+    raw[key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_mapping(raw)
 
 
 def test_pipeline_config_with_invalid_utf8_names_file_and_line(tmp_path, caplog):
@@ -546,3 +578,124 @@ def test_pipeline_fails_cleanly_when_reverse_training_fails(
         assert record.message == "reverse training failed in the child"
     assert all(p.name.endswith(".partial") for p in tmp_path.glob("pipe.*"))
     assert multiprocessing.active_children() == []
+
+
+def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch):
+    """A scoring worker killed by SIGKILL ends score with exit 1 and one log
+    line naming the pairs it lost, leaves only .partial output and no child
+    running. A multiprocessing.Pool waits forever for the lost shard."""
+    n = 2_500  # two shards at 2 workers: pairs 0-999 and 1000-2499
+    for side in ("src", "tgt"):
+        (tmp_path / f"c.{side}").write_text(f"{side} words here\n" * n, encoding="utf-8")
+    parent = os.getpid()
+
+    def scorer(pair):
+        if pair.id == 500 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 1.0
+
+    monkeypatch.setattr(cli, "_sniff_scorer", lambda path, role: scorer)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
+    try:
+        code = run_cli(
+            "score", "--in-src", tmp_path / "c.src", "--in-tgt", tmp_path / "c.tgt",
+            "--fwd-model", "f", "--rev-model", "r", "--in-lm", "i", "--out-lm", "o",
+            "--out", tmp_path / "s.tsv", "--workers", "2",
+        )
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == "scoring pairs 0-999: a worker process died"
+    assert [p.name for p in tmp_path.glob("s.tsv*")] == ["s.tsv.partial"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pipeline_fails_on_a_missing_candidate_file_before_training(
+    workdir, tmp_path, caplog, monkeypatch
+):
+    calls = []
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            calls.append(func.__name__)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "sample", counted(cli.sample))
+    monkeypatch.setattr(cli, "train_model1", counted(cli.train_model1))
+    missing = tmp_path / "missing.src"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"candidate_src = {missing}\n"
+        f"candidate_tgt = {workdir / 'cand.tgt'}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\ntop_n = 5\n",
+        encoding="utf-8",
+    )
+    assert run_cli("pipeline", "--config", cfg) == 1
+    (record,) = caplog.records
+    assert str(missing) in record.message
+    assert calls == []
+    assert not list(tmp_path.glob("pipe.*"))
+
+
+@pytest.mark.parametrize("level", ["info", "debug"])
+def test_an_unexpected_error_exits_1_with_one_line(tmp_path, level):
+    """Any other exception ends the run with exit 1 and one log line; the
+    traceback follows it only at --log-level debug."""
+    script = (
+        "import sys\n"
+        "from pairsieve import cli\n"
+        "def fail(args):\n"
+        "    raise RuntimeError('no such luck')\n"
+        "cli._cmd_stats = fail\n"
+        f"sys.exit(cli.main(['--log-level', '{level}', 'stats', '--scores', 's.tsv']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "ERROR unexpected RuntimeError: no such luck"
+    if level == "debug":
+        assert lines[1] == "Traceback (most recent call last):"
+        assert lines[-1] == "RuntimeError: no such luck"
+    else:
+        assert len(lines) == 1
+
+
+def test_only_the_forked_module_starts_processes():
+    """Importing the CLI loads no process pool, and no other module of the
+    package imports multiprocessing or concurrent.futures."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, pairsieve.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing.pool'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+    importers = set()
+    for path in sorted((REPO_ROOT / "src" / "pairsieve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("multiprocessing", "concurrent") for name in names):
+                importers.add(path.name)
+    assert importers == {"forked.py"}

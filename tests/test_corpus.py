@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairsieve.corpus import (
     Provenance,
-    read_parallel,
-    read_tsv,
+    open_corpus,
     sample,
     tokenize,
     write_parallel,
@@ -51,7 +50,7 @@ def _write(path, lines):
 def test_read_parallel_yields_sequential_ids(tmp_path):
     _write(tmp_path / "c.src", ["ein", "zwei", "drei"])
     _write(tmp_path / "c.tgt", ["one", "two", "three"])
-    pairs = list(read_parallel(tmp_path / "c.src", tmp_path / "c.tgt"))
+    pairs = list(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"))
     assert [p.id for p in pairs] == [0, 1, 2]
     assert [p.src.raw for p in pairs] == ["ein", "zwei", "drei"]
     assert all(p.provenance is Provenance.CANDIDATE for p in pairs)
@@ -62,13 +61,13 @@ def test_read_parallel_line_count_mismatch_names_first_unmatched(tmp_path):
     _write(tmp_path / "c.tgt", ["1", "2", "3", "4"])
     expected = f"first unmatched line is 4 of {tmp_path / 'c.tgt'}"
     with pytest.raises(CorpusFormatError, match=re.escape(expected)):
-        list(read_parallel(tmp_path / "c.src", tmp_path / "c.tgt"))
+        list(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"))
 
 
 def test_read_parallel_exhaustion_check_without_eager(tmp_path):
     _write(tmp_path / "c.src", ["a", "b", "c", "d"])
     _write(tmp_path / "c.tgt", ["1", "2", "3"])
-    stream = read_parallel(tmp_path / "c.src", tmp_path / "c.tgt")
+    stream = open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt")
     # No pre-pass counts the lines: the pairs before the mismatch stream out,
     # and the error comes when the shorter file ends.
     assert [pair.src.raw for pair in itertools.islice(stream, 3)] == ["a", "b", "c"]
@@ -79,7 +78,7 @@ def test_read_parallel_exhaustion_check_without_eager(tmp_path):
 
 def test_read_tsv_pair(tmp_path):
     (tmp_path / "c.tsv").write_text("hallo\thello\n", encoding="utf-8")
-    (pair,) = list(read_tsv(tmp_path / "c.tsv"))
+    (pair,) = list(open_corpus(path=tmp_path / "c.tsv"))
     assert pair.src.raw == "hallo"
     assert pair.tgt.raw == "hello"
 
@@ -87,13 +86,13 @@ def test_read_tsv_pair(tmp_path):
 def test_read_tsv_wrong_arity(tmp_path):
     (tmp_path / "c.tsv").write_text("a\tb\n1\t2\t3\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 2"):
-        list(read_tsv(tmp_path / "c.tsv"))
+        list(open_corpus(path=tmp_path / "c.tsv"))
 
 
 def test_invalid_utf8_names_byte_offset(tmp_path):
     (tmp_path / "c.tsv").write_bytes(b"ok\tok\nbad \xff\tx\n")
     with pytest.raises(CorpusFormatError, match="byte offset 4"):
-        list(read_tsv(tmp_path / "c.tsv"))
+        list(open_corpus(path=tmp_path / "c.tsv"))
 
 
 def test_round_trip_preserves_raw_lines(tmp_path):
@@ -101,7 +100,7 @@ def test_round_trip_preserves_raw_lines(tmp_path):
     tgt_lines = ["A  house", "blank above", "Three apples"]
     _write(tmp_path / "a.src", src_lines)
     _write(tmp_path / "a.tgt", tgt_lines)
-    pairs = list(read_parallel(tmp_path / "a.src", tmp_path / "a.tgt"))
+    pairs = list(open_corpus(src_path=tmp_path / "a.src", tgt_path=tmp_path / "a.tgt"))
     write_parallel(pairs, tmp_path / "b.src", tmp_path / "b.tgt")
     assert (tmp_path / "b.src").read_bytes() == (tmp_path / "a.src").read_bytes()
     assert (tmp_path / "b.tgt").read_bytes() == (tmp_path / "a.tgt").read_bytes()
@@ -125,14 +124,12 @@ def test_write_tsv_rejects_raw_tabs(tmp_path):
 
     _write(tmp_path / "c.src", ["has\ttab"])
     _write(tmp_path / "c.tgt", ["fine"])
-    pairs = list(read_parallel(tmp_path / "c.src", tmp_path / "c.tgt"))
+    pairs = list(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"))
     with pytest.raises(CorpusFormatError, match="tab"):
         write_tsv(pairs, tmp_path / "c.tsv")
 
 
 def test_open_corpus_rejects_ambiguous_input(tmp_path):
-    from pairsieve.corpus import open_corpus
-
     _write(tmp_path / "c.tsv", ["a\tb"])
     _write(tmp_path / "c.src", ["a"])
     _write(tmp_path / "c.tgt", ["b"])

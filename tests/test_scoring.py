@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pairsieve.corpus import Provenance, Sentence, SentencePair, tokenize
 from pairsieve.errors import ScoreDomainError, ScoringError
+from pairsieve import scoring
 from pairsieve.lexical_tm import ExternalScoreTable
 from pairsieve.scoring import (
     MAX_SHARD_LINES,
@@ -276,3 +279,33 @@ def test_shard_plan_covers_the_corpus_in_bounded_shards():
     assert shard_plan(50_000, 2) == [(0, 25_000), (25_000, 25_000)]
     assert shard_plan(100_000, 2) == [(i * 25_000, 25_000) for i in range(4)]
     assert shard_plan(4_000, 2) == [(0, 2_000), (2_000, 2_000)]
+
+
+def test_a_failed_shard_starts_no_further_shard(tmp_path, monkeypatch):
+    """A ScoringError in the first of 8 shards at 2 workers ends the run after
+    the shard running beside it: no shard behind them starts. Forked workers
+    append every pair id they score to one O_APPEND file."""
+    monkeypatch.setattr(scoring, "MAX_SHARD_LINES", OFFSET_GRANULE)
+    n = 8 * OFFSET_GRANULE
+    assert len(shard_plan(n, 2)) == 8
+    src, tgt = _write_corpus(tmp_path, n)
+    log_fd = os.open(tmp_path / "scored.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def scorer(pair):
+        os.write(log_fd, f"{pair.id}\n".encode())
+        if pair.id == 0:
+            raise ScoringError("pair 0: refused")
+        return 1.0
+
+    try:
+        with pytest.raises(ScoringError, match="^pair 0: refused$"):
+            score_corpus_to_file(
+                tmp_path / "s.tsv", scorer, scorer, scorer, scorer,
+                src_path=src, tgt_path=tgt, workers=2,
+            )
+    finally:
+        os.close(log_fd)
+    scored = {int(line) for line in (tmp_path / "scored.log").read_text().split()}
+    assert 0 in scored
+    assert max(scored) < 2 * OFFSET_GRANULE
+    assert multiprocessing.active_children() == []
