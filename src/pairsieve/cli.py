@@ -15,14 +15,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import corpus as corpus_io
 from .corpus import (
     DEFAULT_MAX_TOKENS,
     Provenance,
     SentencePair,
     open_corpus,
     read_mono,
+    read_rows,
     sample,
+    write_parallel,
 )
 from .errors import ConfigError, PairsieveError
 from .forked import forked_map
@@ -158,23 +159,14 @@ def _add_corpus_input_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _corpus_kwargs(args: argparse.Namespace, provenance: Provenance) -> dict:
+def _corpus_paths(args: argparse.Namespace) -> dict:
     if args.tsv_in is not None:
         if args.in_src or args.in_tgt:
             raise ConfigError("give --in or --in-src/--in-tgt, not both")
-        return {
-            "path": args.tsv_in,
-            "lowercase": args.lowercase,
-            "provenance": provenance,
-        }
+        return {"path": args.tsv_in}
     if not args.in_src or not args.in_tgt:
         raise ConfigError("corpus input needs --in or both --in-src and --in-tgt")
-    return {
-        "src_path": args.in_src,
-        "tgt_path": args.in_tgt,
-        "lowercase": args.lowercase,
-        "provenance": provenance,
-    }
+    return {"src_path": args.in_src, "tgt_path": args.in_tgt}
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +190,7 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_tm(args: argparse.Namespace) -> int:
-    stream = open_corpus(**_corpus_kwargs(args, Provenance.CANDIDATE))
+    stream = open_corpus(**_corpus_paths(args), lowercase=args.lowercase)
     direction = Direction(args.direction)
     model, trace = train_model1(
         stream, iterations=args.iters, use_null=args.null, direction=direction
@@ -221,14 +213,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
         _sniff_scorer(args.out_lm, "out"),
     )
     provenance = Provenance.TRUSTED if args.trusted else Provenance.CANDIDATE
-    kwargs = _corpus_kwargs(args, provenance)
+    paths = _corpus_paths(args)
     session = _AtomicSession()
     n = score_corpus_to_file(
         session.path(args.out),
         *scorers,
+        lowercase=args.lowercase,
+        provenance=provenance,
         max_tokens=args.max_tokens,
         workers=args.workers,
-        **kwargs,
+        **paths,
     )
     session.commit()
     log.info("scored %d pairs with %d workers -> %s", n, args.workers, args.out)
@@ -241,22 +235,27 @@ def _cmd_select(args: argparse.Namespace) -> int:
         selection = select_top_n(records, args.top_n)
     else:
         selection = select_by_threshold(records, args.threshold)
-    stream = open_corpus(**_corpus_kwargs(args, Provenance.CANDIDATE))
+    paths = _corpus_paths(args)
     session = _AtomicSession()
     if args.format == "tsv":
-        n = extract_selected(stream, selection, tsv_path=session.path(args.out_prefix + ".tsv"))
+        outputs = {"tsv_path": session.path(args.out_prefix + ".tsv")}
     else:
-        n = extract_selected(
-            stream,
-            selection,
-            src_path=session.path(args.out_prefix + ".src"),
-            tgt_path=session.path(args.out_prefix + ".tgt"),
-        )
+        outputs = {
+            "src_path": session.path(args.out_prefix + ".src"),
+            "tgt_path": session.path(args.out_prefix + ".tgt"),
+        }
+    n = extract_selected(
+        read_rows(**paths),
+        selection,
+        **outputs,
+        scores_name=args.scores,
+        corpus_name=" + ".join(paths.values()),
+    )
     session.commit()
     log.info(
-        "selected %d of %s pairs (cutoff %s) -> %s.*",
+        "selected %d of %d pairs (cutoff %s) -> %s.*",
         n,
-        selection.n_requested if selection.n_requested is not None else "?",
+        selection.n_scored,
         f"{selection.cutoff_score:.6g}" if selection.cutoff_score is not None else "-",
         args.out_prefix,
     )
@@ -288,14 +287,14 @@ def _parse_mix(text: str) -> dict[NoiseKind, float]:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    stream = open_corpus(**_corpus_kwargs(args, Provenance.CANDIDATE))
+    stream = open_corpus(**_corpus_paths(args), lowercase=args.lowercase)
     mix = _parse_mix(args.mix) if args.mix else uniform_mix()
     spec = NoiseSpec(rate=args.rate, mix=mix, seed=args.seed)
     third = read_mono(args.third_lang, args.lowercase) if args.third_lang else None
     labeled = inject_noise(stream, spec, third)
     session = _AtomicSession()
-    corpus_io.write_parallel(
-        (lp.pair for lp in labeled),
+    write_parallel(
+        ((lp.pair.id, lp.pair.src.raw, lp.pair.tgt.raw) for lp in labeled),
         session.path(args.out_prefix + ".src"),
         session.path(args.out_prefix + ".tgt"),
     )
@@ -508,12 +507,11 @@ class PipelineConfig:
             lines.append(f"{field.name} = {value}")
         return "\n".join(lines) + "\n"
 
-    def candidate_kwargs(self) -> dict:
+    def candidate_paths(self) -> dict:
         return {
             "path": self.candidate_tsv,
             "src_path": self.candidate_src,
             "tgt_path": self.candidate_tgt,
-            "lowercase": self.lowercase,
         }
 
     def trusted_kwargs(self) -> dict:
@@ -582,7 +580,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         )
         log.info("pipeline: sampling candidate corpus for the out-of-domain model")
         candidate_sample = sample(
-            open_corpus(**config.candidate_kwargs()), config.sample_size, config.seed + 1
+            open_corpus(**config.candidate_paths(), lowercase=config.lowercase),
+            config.sample_size,
+            config.seed + 1,
         )
         out_lm = train_ngram(
             [p.tgt for p in candidate_sample],
@@ -611,9 +611,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         Model1Scorer(rev_tm),
         LmScorer(in_lm),
         LmScorer(out_lm),
+        lowercase=config.lowercase,
         max_tokens=config.max_tokens,
         workers=config.workers,
-        **config.candidate_kwargs(),
+        **config.candidate_paths(),
     )
     artifacts["scores.tsv"] = f"{prefix}.scores.tsv"
 
@@ -624,7 +625,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     else:
         selection = select_by_threshold(records, config.threshold)
     extract_selected(
-        open_corpus(**config.candidate_kwargs()),
+        read_rows(**config.candidate_paths()),
         selection,
         src_path=session.path(f"{prefix}.selected.src"),
         tgt_path=session.path(f"{prefix}.selected.tgt"),

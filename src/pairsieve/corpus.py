@@ -145,18 +145,16 @@ def _twin_rows(
         yield src, tgt
 
 
-def open_corpus(
+def read_rows(
     path: str | Path | None = None,
     src_path: str | Path | None = None,
     tgt_path: str | Path | None = None,
-    lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
     start: int = 0,
     count: int | None = None,
     offsets: tuple[int, ...] = (0, 0),
-) -> Iterator[SentencePair]:
-    """Stream pairs [start, start+count) of a TSV corpus (``path``) or of
-    twin files; ``count=None`` reads to the end.
+) -> Iterator[tuple[str, str]]:
+    """The raw (source, target) lines of pairs [start, start+count) of a TSV
+    corpus (``path``) or of twin files; ``count=None`` reads to the end.
 
     ``offsets`` holds the byte offset of pair ``start`` in each file, from
     :func:`corpus_offsets`. Twin files of different lengths fail when the
@@ -170,6 +168,21 @@ def open_corpus(
         raise CorpusFormatError("twin-file corpus needs both source and target paths")
     else:
         rows = _twin_rows(src_path, tgt_path, offsets, start + 1)
+    return itertools.islice(rows, count)
+
+
+def open_corpus(
+    path: str | Path | None = None,
+    src_path: str | Path | None = None,
+    tgt_path: str | Path | None = None,
+    lowercase: bool = False,
+    provenance: Provenance = Provenance.CANDIDATE,
+    start: int = 0,
+    count: int | None = None,
+    offsets: tuple[int, ...] = (0, 0),
+) -> Iterator[SentencePair]:
+    """Stream the pairs of :func:`read_rows`, tokenized, with their ids."""
+    rows = read_rows(path, src_path, tgt_path, start, count, offsets)
     return (
         SentencePair(
             id=pair_id,
@@ -177,7 +190,7 @@ def open_corpus(
             tgt=tokenize(tgt, lowercase),
             provenance=provenance,
         )
-        for pair_id, (src, tgt) in enumerate(itertools.islice(rows, count), start)
+        for pair_id, (src, tgt) in enumerate(rows, start)
     )
 
 
@@ -186,32 +199,34 @@ def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:
     return [tokenize(line, lowercase) for line in _iter_lines(path)]
 
 
-def write_parallel(
-    pairs: Iterable[SentencePair], src_path: str | Path, tgt_path: str | Path
-) -> int:
-    """Write raw lines back to twin files; returns the number of pairs written."""
+# A pair to write: its id and its raw source and target lines.
+Row = tuple[int, str, str]
+
+
+def write_parallel(rows: Iterable[Row], src_path: str | Path, tgt_path: str | Path) -> int:
+    """Write raw lines to twin files; returns the number of pairs written."""
     n = 0
     with open(src_path, "w", encoding="utf-8") as src_fh, open(
         tgt_path, "w", encoding="utf-8"
     ) as tgt_fh:
-        for pair in pairs:
-            src_fh.write(pair.src.raw + "\n")
-            tgt_fh.write(pair.tgt.raw + "\n")
+        for _, src, tgt in rows:
+            src_fh.write(src + "\n")
+            tgt_fh.write(tgt + "\n")
             n += 1
     return n
 
 
-def write_tsv(pairs: Iterable[SentencePair], path: str | Path) -> int:
+def write_tsv(rows: Iterable[Row], path: str | Path) -> int:
     """Write pairs as 2-column TSV; raw lines containing tabs cannot survive."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            if "\t" in pair.src.raw or "\t" in pair.tgt.raw:
+        for pair_id, src, tgt in rows:
+            if "\t" in src or "\t" in tgt:
                 raise CorpusFormatError(
-                    f"pair {pair.id}: raw text contains a tab; "
+                    f"pair {pair_id}: raw text contains a tab; "
                     "write twin files instead of TSV"
                 )
-            fh.write(f"{pair.src.raw}\t{pair.tgt.raw}\n")
+            fh.write(f"{src}\t{tgt}\n")
             n += 1
     return n
 

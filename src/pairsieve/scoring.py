@@ -270,48 +270,48 @@ def write_score_file(records: Iterable[ScoreRecord], path: str | Path) -> int:
 
 
 def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
-    parts = line.split("\t")
-    if len(parts) != len(SCORE_HEADER):
-        raise ModelFormatError(
-            f"{path}: line {line_no}: expected {len(SCORE_HEADER)} columns, "
-            f"found {len(parts)}"
-        )
     try:
-        pair_id = int(parts[0])
-        floats = [float(p) for p in parts[1:8]]
+        pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, combined, raw_flags = line.split("\t")
+    except ValueError:
+        found = line.count("\t") + 1
+        raise ModelFormatError(
+            f"{path}: line {line_no}: expected {len(SCORE_HEADER)} columns, found {found}"
+        ) from None
+    try:
+        record = ScoreRecord(
+            int(pair_id),
+            float(h_fwd),
+            float(h_rev),
+            float(h_in),
+            float(h_out),
+            float(adq),
+            float(dom),
+            float(combined),
+        )
     except ValueError:
         raise ModelFormatError(
             f"{path}: line {line_no}: non-numeric field in {line!r}"
         ) from None
-    raw_flags = tuple(parts[8].split(",")) if parts[8] != "-" else ()
-    trusted = "trusted" in raw_flags
-    flags = tuple(f for f in raw_flags if f != "trusted")
-    bad = [f for f in flags if f not in _DIAG_FLAGS]
-    if bad:
-        raise ModelFormatError(f"{path}: line {line_no}: unknown flags {bad}")
-    return ScoreRecord(
-        pair_id,
-        floats[0],
-        floats[1],
-        floats[2],
-        floats[3],
-        adq=floats[4],
-        dom=floats[5],
-        combined=floats[6],
-        trusted=trusted,
-        flags=flags,
-    )
+    if raw_flags != "-":
+        flags = raw_flags.split(",")
+        record.trusted = "trusted" in flags
+        record.flags = tuple(f for f in flags if f != "trusted")
+        bad = [f for f in record.flags if f not in _DIAG_FLAGS]
+        if bad:
+            raise ModelFormatError(f"{path}: line {line_no}: unknown flags {bad}")
+    return record
 
 
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
     """Stream records back from a score file written by write_score_file."""
+    name = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != "\t".join(SCORE_HEADER):
                 raise ModelFormatError(f"{path}: line 1: bad or missing score header")
             for line_no, line in enumerate(fh, start=2):
-                yield parse_record(line.rstrip("\n"), str(path), line_no)
+                yield parse_record(line.rstrip("\n"), name, line_no)
     except UnicodeDecodeError:
         raise invalid_utf8(path, ModelFormatError) from None
 

@@ -1,10 +1,15 @@
-"""Sort-by-score selection and per-sentence weight emission.
+"""Top-n and threshold selection, extraction of the selected pairs, and
+per-sentence weight emission.
 
 Selection ranks records by combined score descending with ties broken by
 ascending pair id, so results are reproducible and independent of how the
-records were produced or sharded. Sorting spills to disk when the record
-count exceeds the in-memory budget, merging with a fixed key comparison so
-output does not depend on chunk boundaries.
+records were produced or sharded. Every record of the score file is read and
+checked, whatever n is. Top-n keeps a buffer of at most 2n keys: it sorts the
+buffer each time it fills and keeps the best n. When 2n keys exceed the
+in-memory budget, it sorts chunks of the budget's size, spills them to disk
+and merges them with the same key order, so output does not depend on chunk
+boundaries. Extraction streams the corpus's raw lines, never tokenized, to its
+end, so a score file made for another corpus fails.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import SentencePair, write_parallel, write_tsv
+from .corpus import Row, write_parallel, write_tsv
 from .errors import ScoreDomainError, StructuralError
 from .scoring import ScoreRecord
 
 # A resident (combined, id) tuple costs ~110 bytes with CPython overhead, so
-# 32M keys stay inside a 4 GiB sort budget; beyond that, spill and merge.
+# 32M keys stay inside a 4 GiB sort budget; top-n spills and merges when its
+# 2n-key buffer would not fit.
 DEFAULT_MAX_IN_MEMORY = 32_000_000
 
 _KEY_STRUCT = struct.Struct("<dq")
@@ -38,13 +44,20 @@ class SelectionResult:
     cutoff_score: float | None
     n_requested: int | None
     n_returned: int
+    n_scored: int
 
 
-def _sort_key(record: ScoreRecord) -> tuple[float, int]:
+def _sort_keys(records: Iterable[ScoreRecord]) -> Iterator[tuple[float, int]]:
     # Ascending sort of (-combined, id) = combined descending, id ascending.
-    if math.isnan(record.combined):
-        raise ScoreDomainError(f"pair {record.pair_id}: combined score is NaN")
-    return (-record.combined, record.pair_id)
+    for record in records:
+        if math.isnan(record.combined):
+            raise ScoreDomainError(f"pair {record.pair_id}: combined score is NaN")
+        yield (-record.combined, record.pair_id)
+
+
+def _chunks(keys: Iterator[tuple[float, int]], size: int) -> Iterator[list[tuple[float, int]]]:
+    while chunk := list(itertools.islice(keys, size)):
+        yield chunk
 
 
 def _spill(keys: list[tuple[float, int]], tmp_dir: str) -> str:
@@ -69,29 +82,35 @@ def select_top_n(
 ) -> SelectionResult:
     """Take the n best records by combined score (ties: lower id wins).
 
-    Streams the input once. When n fits the memory budget a bounded heap is
-    used; otherwise all keys are external-merge-sorted on disk. Either path
-    returns ids in ascending order for streaming re-extraction.
+    Reads every record once. While 2n keys fit the memory budget, each chunk
+    of n keys joins the best n so far, and a sort keeps the best n of the
+    2n. Otherwise chunks of ``max_in_memory`` keys are sorted, spilled to
+    disk and merged. Either way the ids come back in ascending order for
+    streaming re-extraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    keys = (_sort_key(r) for r in records)
-    if n <= max_in_memory:
-        best = heapq.nsmallest(n, keys)
+    if max_in_memory < 1:
+        raise ValueError("max_in_memory must be >= 1")
+    keys = _sort_keys(records)
+    n_scored = 0
+    if 2 * n <= max_in_memory:
+        best: list[tuple[float, int]] = []
+        # Chunks of one key at n = 0, so that every record is still read.
+        for chunk in _chunks(keys, max(n, 1)):
+            n_scored += len(chunk)
+            best += chunk
+            best.sort()
+            del best[n:]
     else:
         with tempfile.TemporaryDirectory(prefix="pairsieve-sort-") as tmp_dir:
             spills = []
-            buf: list[tuple[float, int]] = []
-            for key in keys:
-                buf.append(key)
-                if len(buf) >= max_in_memory:
-                    spills.append(_spill(buf, tmp_dir))
-                    buf = []
-            buf.sort()
+            for chunk in _chunks(keys, max_in_memory):
+                n_scored += len(chunk)
+                spills.append(_spill(chunk, tmp_dir))
             readers = [_read_spill(p) for p in spills]
             try:
-                merged = heapq.merge(buf, *readers)
-                best = list(itertools.islice(merged, n))
+                best = list(itertools.islice(heapq.merge(*readers), n))
             finally:
                 for reader in readers:
                     reader.close()
@@ -102,6 +121,7 @@ def select_top_n(
         cutoff_score=cutoff,
         n_requested=n,
         n_returned=len(best),
+        n_scored=n_scored,
     )
 
 
@@ -111,7 +131,11 @@ def select_by_threshold(
     """All records with combined score >= threshold, in ascending id order."""
     if not 0.0 <= threshold <= 1.0:
         raise ScoreDomainError(f"threshold must be in [0, 1], got {threshold!r}")
-    selected = [(r.combined, r.pair_id) for r in records if r.combined >= threshold]
+    selected = []
+    n_scored = 0
+    for n_scored, record in enumerate(records, 1):
+        if record.combined >= threshold:
+            selected.append((record.combined, record.pair_id))
     cutoff = min((c for c, _ in selected), default=None)
     selected_ids = sorted(pair_id for _, pair_id in selected)
     return SelectionResult(
@@ -119,6 +143,7 @@ def select_by_threshold(
         cutoff_score=cutoff,
         n_requested=None,
         n_returned=len(selected),
+        n_scored=n_scored,
     )
 
 
@@ -155,33 +180,45 @@ def emit_weights(records: Iterable[ScoreRecord], path: str | Path) -> int:
 
 
 def extract_selected(
-    corpus: Iterable[SentencePair],
+    rows: Iterable[tuple[str, str]],
     selection: SelectionResult,
     src_path: str | Path | None = None,
     tgt_path: str | Path | None = None,
     tsv_path: str | Path | None = None,
+    scores_name: str = "the score file",
+    corpus_name: str = "the corpus",
 ) -> int:
-    """Stream exactly the selected pairs to twin files or TSV, in id order."""
+    """Stream exactly the selected pairs to twin files or TSV, in id order.
+
+    ``rows`` are the corpus's raw (source, target) lines, pair 0 first, as
+    :func:`~pairsieve.corpus.read_rows` gives them. They are read to the end:
+    a corpus whose pair count is not the number of scored records fails,
+    naming both inputs by ``scores_name`` and ``corpus_name``.
+    """
     ids = selection.selected_ids
     for i in range(1, len(ids)):
         if ids[i] <= ids[i - 1]:
             raise StructuralError("selection ids must be strictly ascending")
 
-    def pairs() -> Iterator[SentencePair]:
-        idx = 0
-        for pair in corpus:
-            if idx >= len(ids):
-                return
-            if pair.id == ids[idx]:
-                idx += 1
-                yield pair
-        if idx < len(ids):
+    def selected_rows() -> Iterator[Row]:
+        wanted = iter(ids)
+        next_id = next(wanted, None)
+        pair_id = -1
+        for pair_id, (src, tgt) in enumerate(rows):
+            if pair_id == next_id:
+                yield pair_id, src, tgt
+                next_id = next(wanted, None)
+        n_rows = pair_id + 1
+        if n_rows != selection.n_scored:
             raise StructuralError(
-                f"selected id {ids[idx]} is beyond the end of the corpus"
+                f"{scores_name} holds {selection.n_scored} scored pairs but "
+                f"{corpus_name} holds {n_rows} pairs; the scores are for another corpus"
             )
+        if next_id is not None:
+            raise StructuralError(f"selected id {next_id} is beyond the end of the corpus")
 
     if tsv_path is not None:
-        return write_tsv(pairs(), tsv_path)
+        return write_tsv(selected_rows(), tsv_path)
     if src_path is None or tgt_path is None:
         raise StructuralError("extraction needs twin output paths or a TSV path")
-    return write_parallel(pairs(), src_path, tgt_path)
+    return write_parallel(selected_rows(), src_path, tgt_path)

@@ -144,7 +144,7 @@ def test_criterion_5_selection_contract_100k(tmp_path):
         n = 100_000
         corpus = make_cipher_corpus(n, seed=501, min_len=3, max_len=8)
         src, tgt = tmp_path / "c.src", tmp_path / "c.tgt"
-        write_parallel(corpus, src, tgt)
+        write_parallel(((p.id, p.src.raw, p.tgt.raw) for p in corpus), src, tgt)
 
         train = make_cipher_corpus(2000, seed=502, min_len=3, max_len=8)
         fwd, _ = train_model1(train, iterations=3, direction=Direction.FORWARD)
@@ -192,7 +192,7 @@ def test_criterion_5_selection_contract_100k(tmp_path):
             assert w == pytest.approx(c, abs=5e-7)
 
         extract_selected(
-            iter(corpus), selection,
+            ((p.src.raw, p.tgt.raw) for p in corpus), selection,
             src_path=tmp_path / "sel.src", tgt_path=tmp_path / "sel.tgt",
         )
         assert len((tmp_path / "sel.src").read_text().splitlines()) == keep
@@ -261,7 +261,12 @@ def test_criterion_7_scale_smoke_1m(tmp_path):
         n = 1_000_000
         src, tgt = tmp_path / "big.src", tmp_path / "big.tgt"
         write_parallel(
-            make_cipher_corpus(n, seed=701, min_len=3, max_len=8), src, tgt
+            (
+                (p.id, p.src.raw, p.tgt.raw)
+                for p in make_cipher_corpus(n, seed=701, min_len=3, max_len=8)
+            ),
+            src,
+            tgt,
         )
 
         train = make_cipher_corpus(2000, seed=702, min_len=3, max_len=8)

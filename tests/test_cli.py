@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pairsieve import cli
+from pairsieve import cli, corpus
 from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
 from pairsieve.errors import ConfigError, TrainingError
@@ -30,8 +30,9 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     trusted = make_cipher_corpus(400, seed=1)
     candidate = make_cipher_corpus(120, seed=2)
-    write_parallel(trusted, root / "trusted.src", root / "trusted.tgt")
-    write_parallel(candidate, root / "cand.src", root / "cand.tgt")
+    for pairs, name in ((trusted, "trusted"), (candidate, "cand")):
+        rows = ((p.id, p.src.raw, p.tgt.raw) for p in pairs)
+        write_parallel(rows, root / f"{name}.src", root / f"{name}.tgt")
     with open(root / "third.txt", "w", encoding="utf-8") as fh:
         for s in make_third_language(60, seed=3):
             fh.write(s.raw + "\n")
@@ -241,6 +242,55 @@ def test_select_top_n_extracts_the_best_pairs(workdir, tmp_path):
     src_lines = (tmp_path / "sel.src").read_text(encoding="utf-8").splitlines()
     cand_lines = (workdir / "cand.src").read_text(encoding="utf-8").splitlines()
     assert src_lines == [cand_lines[0], cand_lines[2]]
+
+
+@pytest.mark.parametrize("fmt", ["twin", "tsv"])
+def test_select_tokenizes_nothing(workdir, tmp_path, monkeypatch, fmt):
+    scores = _handmade_scores(tmp_path, [0.9, 0.1, 0.5] + [0.0] * 117)
+    expected = tmp_path / "expected"
+    argv = ["select", "--scores", scores, "--top-n", "60", "--format", fmt,
+            "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt"]
+    assert run_cli(*argv, "--out-prefix", expected) == 0
+
+    def tokenize(*_):
+        raise AssertionError("select tokenized a line")
+
+    monkeypatch.setattr(corpus, "tokenize", tokenize)
+    assert run_cli(*argv, "--out-prefix", tmp_path / "sel") == 0
+    for suffix in ((".tsv",) if fmt == "tsv" else (".src", ".tgt")):
+        written = (tmp_path / f"sel{suffix}").read_bytes()
+        assert written == (tmp_path / f"expected{suffix}").read_bytes()
+
+
+def test_select_top_n_zero_still_reads_the_score_file(workdir, tmp_path, caplog):
+    scores = tmp_path / "garbage.tsv"
+    scores.write_text("garbage header\n", encoding="utf-8")
+    code = run_cli(
+        "select", "--scores", scores, "--top-n", "0",
+        "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--out-prefix", tmp_path / "zz",
+    )
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == f"{scores}: line 1: bad or missing score header"
+    assert not list(tmp_path.glob("zz.src")) and not list(tmp_path.glob("zz.tgt"))
+
+
+@pytest.mark.parametrize("n_scores", [100, 130])
+def test_select_rejects_scores_of_another_corpus(workdir, tmp_path, caplog, n_scores):
+    scores = _handmade_scores(tmp_path, [0.5] * n_scores)
+    src, tgt = workdir / "cand.src", workdir / "cand.tgt"
+    code = run_cli(
+        "select", "--scores", scores, "--top-n", "10",
+        "--in-src", src, "--in-tgt", tgt, "--out-prefix", tmp_path / "sel",
+    )
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == (
+        f"{scores} holds {n_scores} scored pairs but {src} + {tgt} holds 120 pairs; "
+        "the scores are for another corpus"
+    )
+    assert not list(tmp_path.glob("sel.src")) and not list(tmp_path.glob("sel.tgt"))
 
 
 def test_select_requires_exactly_one_mode(workdir, tmp_path):
@@ -515,6 +565,24 @@ def test_pipeline_end_to_end_and_reruns_identically(workdir, tmp_path):
     assert run_cli("pipeline", "--config", cfg) == 0
     second = {p.name: p.read_bytes() for p in tmp_path.glob("pipe.*")}
     assert first == second
+
+
+def test_pipeline_top_n_zero_selects_nothing_and_weights_everything(workdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"candidate_src = {workdir / 'cand.src'}\n"
+        f"candidate_tgt = {workdir / 'cand.tgt'}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\n"
+        "top_n = 0\nseed = 4\nsample_size = 400\nlm_order = 2\nworkers = 1\n"
+        "log_level = error\n",
+        encoding="utf-8",
+    )
+    assert run_cli("pipeline", "--config", cfg) == 0
+    assert (tmp_path / "pipe.selected.src").read_bytes() == b""
+    assert (tmp_path / "pipe.selected.tgt").read_bytes() == b""
+    assert len((tmp_path / "pipe.weights.txt").read_text().splitlines()) == 120
 
 
 def _pipeline_config(workdir, tmp_path, workers):

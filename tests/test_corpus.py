@@ -101,7 +101,8 @@ def test_round_trip_preserves_raw_lines(tmp_path):
     _write(tmp_path / "a.src", src_lines)
     _write(tmp_path / "a.tgt", tgt_lines)
     pairs = list(open_corpus(src_path=tmp_path / "a.src", tgt_path=tmp_path / "a.tgt"))
-    write_parallel(pairs, tmp_path / "b.src", tmp_path / "b.tgt")
+    rows = [(p.id, p.src.raw, p.tgt.raw) for p in pairs]
+    write_parallel(rows, tmp_path / "b.src", tmp_path / "b.tgt")
     assert (tmp_path / "b.src").read_bytes() == (tmp_path / "a.src").read_bytes()
     assert (tmp_path / "b.tgt").read_bytes() == (tmp_path / "a.tgt").read_bytes()
 
@@ -125,8 +126,9 @@ def test_write_tsv_rejects_raw_tabs(tmp_path):
     _write(tmp_path / "c.src", ["has\ttab"])
     _write(tmp_path / "c.tgt", ["fine"])
     pairs = list(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"))
-    with pytest.raises(CorpusFormatError, match="tab"):
-        write_tsv(pairs, tmp_path / "c.tsv")
+    rows = [(p.id, p.src.raw, p.tgt.raw) for p in pairs]
+    with pytest.raises(CorpusFormatError, match="pair 0: raw text contains a tab"):
+        write_tsv(rows, tmp_path / "c.tsv")
 
 
 def test_open_corpus_rejects_ambiguous_input(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pairsieve.corpus import Provenance, Sentence, SentencePair, tokenize
-from pairsieve.errors import ScoreDomainError, ScoringError
+from pairsieve.errors import ModelFormatError, ScoreDomainError, ScoringError
 from pairsieve import scoring
 from pairsieve.lexical_tm import ExternalScoreTable
 from pairsieve.scoring import (
@@ -215,6 +215,38 @@ def test_score_file_round_trip(tmp_path):
     assert [r.pair_id for r in loaded] == [0, 1]
     assert loaded[1].trusted is True
     assert loaded[0].combined == pytest.approx(records[0].combined, rel=1e-5)
+
+
+def _score_file(body):
+    return ("\t".join(SCORE_HEADER) + "\n" + body + "\n").encode()
+
+
+GOOD_FIELDS = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25"
+BAD_ID = "x\t1\t1\t1\t1\t0.5\t0.5\t0.25\t-"
+BAD_SCORE = "0\t1\t1\t1\t1\t0.5\t0.5\thigh\t-"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"garbage header\n", "line 1: bad or missing score header"),
+        (_score_file(GOOD_FIELDS), "line 2: expected 9 columns, found 8"),
+        (_score_file(GOOD_FIELDS + "\t-\t-"), "line 2: expected 9 columns, found 10"),
+        (_score_file(""), "line 2: expected 9 columns, found 1"),
+        (_score_file(BAD_ID), "line 2: non-numeric field in " + repr(BAD_ID)),
+        (_score_file(BAD_SCORE), "line 2: non-numeric field in " + repr(BAD_SCORE)),
+        (_score_file(GOOD_FIELDS + "\tbogus"), "line 2: unknown flags ['bogus']"),
+        (_score_file(GOOD_FIELDS + "\ttrusted,blank_src,x"), "line 2: unknown flags ['x']"),
+        (_score_file(GOOD_FIELDS + "\t"), "line 2: unknown flags ['']"),
+        (_score_file(GOOD_FIELDS + "\t-") + b"0\t1\xff\n", "line 3: invalid UTF-8"),
+    ],
+)
+def test_malformed_score_file_names_file_line_and_fault(tmp_path, data, message):
+    path = tmp_path / "s.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ModelFormatError) as exc:
+        list(read_score_file(path))
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_parse_record_rejects_bad_flags():

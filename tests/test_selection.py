@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairsieve.corpus import Sentence, SentencePair
-from pairsieve.errors import StructuralError
+from pairsieve.errors import ScoreDomainError, StructuralError
 from pairsieve.scoring import ScoreRecord, make_record
 from pairsieve.selection import (
     emit_weights,
@@ -71,13 +70,57 @@ def test_partition_property(scores, n):
         assert min(scores[i] for i in selected) >= max(r.combined for r in rejected)
 
 
+def full_sort_reference(records, n):
+    """The n best ids by a full sort: combined descending, lower id first."""
+    ranked = sorted(records, key=lambda r: (-r.combined, r.pair_id))[:n]
+    return sorted(r.pair_id for r in ranked), (ranked[-1].combined if ranked else None)
+
+
+def tied_records(count, seed):
+    # Scores on a grid of 50 values, so every score is tied many times over.
+    rng = random.Random(seed)
+    return [rec(i, rng.randrange(50) / 49) for i in range(count)]
+
+
 def test_external_sort_path_matches_in_memory_path():
-    rng = random.Random(4)
-    records = [rec(i, rng.random()) for i in range(5000)]
-    in_memory = select_top_n(records, 700)
-    spilled = select_top_n(records, 700, max_in_memory=256)
-    assert in_memory.selected_ids == spilled.selected_ids
-    assert in_memory.cutoff_score == spilled.cutoff_score
+    records = tied_records(5000, seed=4)
+    expected = full_sort_reference(records, 700)
+    for max_in_memory in (256, 5000):  # spill and merge, then trim in memory
+        result = select_top_n(iter(records), 700, max_in_memory=max_in_memory)
+        assert (result.selected_ids, result.cutoff_score) == expected
+
+
+@pytest.mark.parametrize(
+    "n, max_in_memory",
+    [
+        (30, 60),  # 2n is the budget: a trim after every 30 records
+        (7, 1000),  # a trim after every 7 records
+        (31, 60),  # 2n exceeds the budget: 17 spilled chunks, merged
+        (1000, 1000),  # one spilled chunk holding every record
+        (0, 1000),  # n = 0 still reads every record
+        (0, 1),
+        (1000, 2000),  # n is the record count: one sort of everything
+        (1500, 64),  # n above the record count, 16 spilled chunks
+    ],
+)
+def test_top_n_paths_match_a_full_sort(n, max_in_memory):
+    records = tied_records(1000, seed=n + max_in_memory)
+    result = select_top_n(iter(records), n, max_in_memory=max_in_memory)
+    assert (result.selected_ids, result.cutoff_score) == full_sort_reference(records, n)
+    assert result.n_returned == min(n, len(records))
+    assert result.n_scored == len(records)
+
+
+def test_top_n_needs_room_for_one_key():
+    with pytest.raises(ValueError, match="max_in_memory"):
+        select_top_n([rec(0, 0.5)], 1, max_in_memory=0)
+
+
+@pytest.mark.parametrize("n, max_in_memory", [(0, 10), (5, 10), (5, 4)])
+def test_top_n_rejects_nan_on_every_path(n, max_in_memory):
+    records = [rec(i, 0.5) for i in range(20)] + [rec(20, float("nan"))]
+    with pytest.raises(ScoreDomainError, match="pair 20: combined score is NaN"):
+        select_top_n(records, n, max_in_memory=max_in_memory)
 
 
 @settings(max_examples=40)
@@ -137,21 +180,14 @@ def test_read_weights_round_trip(tmp_path):
     assert weights == [1.0, 0.367879]
 
 
-def corpus_pairs(n):
-    return [
-        SentencePair(
-            id=i,
-            src=Sentence(tokens=[f"s{i}"], raw=f"s{i}"),
-            tgt=Sentence(tokens=[f"t{i}"], raw=f"t{i}"),
-        )
-        for i in range(n)
-    ]
+def corpus_rows(n):
+    return [(f"s{i}", f"t{i}") for i in range(n)]
 
 
 def test_extract_selected_preserves_order(tmp_path):
     selection = select_top_n([rec(0, 0.9), rec(1, 0.1), rec(2, 0.5)], 2)
     n = extract_selected(
-        corpus_pairs(3),
+        corpus_rows(3),
         selection,
         src_path=tmp_path / "o.src",
         tgt_path=tmp_path / "o.tgt",
@@ -164,7 +200,7 @@ def test_extract_selected_preserves_order(tmp_path):
 def test_extract_empty_selection(tmp_path):
     selection = select_top_n([], 5)
     n = extract_selected(
-        corpus_pairs(3),
+        corpus_rows(0),
         selection,
         src_path=tmp_path / "o.src",
         tgt_path=tmp_path / "o.tgt",
@@ -177,18 +213,35 @@ def test_extract_id_beyond_corpus_end(tmp_path):
     from pairsieve.selection import SelectionResult
 
     selection = SelectionResult(
-        selected_ids=[5], cutoff_score=1.0, n_requested=1, n_returned=1
+        selected_ids=[5], cutoff_score=1.0, n_requested=1, n_returned=1, n_scored=3
     )
     with pytest.raises(StructuralError, match="5"):
         extract_selected(
-            corpus_pairs(3),
+            corpus_rows(3),
             selection,
             src_path=tmp_path / "o.src",
             tgt_path=tmp_path / "o.tgt",
         )
 
 
+@pytest.mark.parametrize("n_rows", [2, 4])
+def test_extract_rejects_a_corpus_of_another_length(tmp_path, n_rows):
+    selection = select_top_n([rec(i, 0.5) for i in range(3)], 1)
+    with pytest.raises(StructuralError) as exc:
+        extract_selected(
+            corpus_rows(n_rows),
+            selection,
+            tsv_path=tmp_path / "o.tsv",
+            scores_name="s.tsv",
+            corpus_name="c.tsv",
+        )
+    assert str(exc.value) == (
+        f"s.tsv holds 3 scored pairs but c.tsv holds {n_rows} pairs; "
+        "the scores are for another corpus"
+    )
+
+
 def test_extract_to_tsv(tmp_path):
     selection = select_top_n([rec(0, 0.9), rec(1, 0.95)], 1)
-    extract_selected(corpus_pairs(2), selection, tsv_path=tmp_path / "o.tsv")
+    extract_selected(corpus_rows(2), selection, tsv_path=tmp_path / "o.tsv")
     assert (tmp_path / "o.tsv").read_text(encoding="utf-8") == "s1\tt1\n"
