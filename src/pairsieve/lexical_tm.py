@@ -13,6 +13,7 @@ normalized by the token count of the generated side.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -99,13 +100,16 @@ def train_model1(
     if iterations < 1:
         raise TrainingError("iterations must be >= 1")
 
+    # Interned tokens make every key of the EM tables one string per word.
+    intern = sys.intern
     oriented: list[tuple[list[str], list[str]]] = []
     for pair in parallel:
         cond, gen = _oriented(pair, direction)
         if cond.is_blank or gen.is_blank:
             continue
-        cond_tokens = [NULL] + cond.tokens if use_null else list(cond.tokens)
-        oriented.append((cond_tokens, list(gen.tokens)))
+        cond_words = map(intern, cond.tokens)
+        cond_tokens = [NULL, *cond_words] if use_null else list(cond_words)
+        oriented.append((cond_tokens, list(map(intern, gen.tokens))))
     if not oriented:
         raise TrainingError("no usable pairs: every pair had a blank side")
 
@@ -219,6 +223,8 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
     rows = model.section(4, n_rows, "row")
     table: dict[str, dict[str, float]] = {}
     gen, column = None, {}
+    # One string object per word, however many rows name it.
+    intern = sys.intern
     for line in rows:
         try:
             cond, row_gen, prob_text = line.split("\t")
@@ -229,11 +235,11 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
             why = f"expected 'cond\\tgen\\tprob' with prob in [0, 1], got {line!r}"
             raise model.row_error(4, line, why)
         if row_gen != gen:
-            gen = row_gen
+            gen = intern(row_gen)
             column = table.get(gen)
             if column is None:
                 column = table[gen] = {}
-        column[cond] = prob
+        column[intern(cond)] = prob
     if sum(map(len, table.values())) != n_rows:
         keys = (line.rpartition("\t")[0] for line in rows)
         raise model.repeat_error(4, keys, "(cond, gen) pair")
@@ -292,9 +298,10 @@ def load_external_scores(path: str | Path) -> ExternalScoreTable:
                     raise ExternalScoreError(
                         f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
                     ) from None
-                if not math.isfinite(value):
+                # Cross-entropies are >= 0; nan fails this test too.
+                if not 0.0 <= value < math.inf:
                     raise ExternalScoreError(
-                        f"{path}: line {line_no}: non-finite score {parts[1]!r}"
+                        f"{path}: line {line_no}: score {parts[1]!r} is not finite and >= 0"
                     )
                 if pair_id in entries:
                     raise ExternalScoreError(

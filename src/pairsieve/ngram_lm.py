@@ -166,10 +166,6 @@ def cross_entropy(lm: NgramLanguageModel, sentence: Sentence) -> float:
     return -math.fsum(log_probs) / len(log_probs)
 
 
-def perplexity(lm: NgramLanguageModel, sentence: Sentence) -> float:
-    return math.exp(cross_entropy(lm, sentence))
-
-
 def save_lm(lm: NgramLanguageModel, path: str | Path) -> None:
     """Write the model as versioned plain text: header, vocab, n-gram counts.
 

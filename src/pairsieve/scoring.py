@@ -91,16 +91,6 @@ def domain_score(h_in: float, h_out: float) -> float:
     return min(math.exp(h_out - h_in), 1.0)
 
 
-def combined_score(adq: float, dom: float, trusted: bool = False) -> float:
-    """adq * dom, with adq replaced by 1 for trusted pairs."""
-    for v in (adq, dom):
-        if not (0.0 < v <= 1.0):
-            raise ScoreDomainError(f"partial scores must be in (0, 1], got {v!r}")
-    if trusted:
-        adq = 1.0
-    return adq * dom
-
-
 def make_record(
     pair_id: int,
     h_fwd: float,
@@ -186,7 +176,10 @@ def score_pair(
         raise
     except Exception as exc:
         raise ScoringError(f"scorer failed on pair {pair.id}: {exc}") from exc
-    return make_record(pair.id, h_fwd, h_rev, h_in, h_out, trusted=trusted)
+    try:
+        return make_record(pair.id, h_fwd, h_rev, h_in, h_out, trusted=trusted)
+    except ScoreDomainError as exc:
+        raise ScoreDomainError(f"pair {pair.id}: {exc}") from None
 
 
 def score_corpus(
@@ -292,6 +285,16 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
         raise ModelFormatError(
             f"{path}: line {line_no}: non-numeric field in {line!r}"
         ) from None
+    # Each comparison is false for nan, so nan fails too.
+    if not (
+        0.0 <= record.adq <= 1.0 and 0.0 <= record.dom <= 1.0 and 0.0 <= record.combined <= 1.0
+    ):
+        name, text = next(
+            (name, text)
+            for name, text in (("adq", adq), ("dom", dom), ("combined", combined))
+            if not 0.0 <= float(text) <= 1.0
+        )
+        raise ModelFormatError(f"{path}: line {line_no}: {name} {text!r} is outside [0, 1]")
     if raw_flags != "-":
         flags = raw_flags.split(",")
         record.trusted = "trusted" in flags

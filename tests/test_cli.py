@@ -131,6 +131,24 @@ def test_score_rejects_a_table_of_the_wrong_length(workdir, tmp_path, caplog, n_
     assert f"{n_fwd} scores" in record.message and "120 pairs" in record.message
 
 
+
+def test_score_rejects_a_negative_table_value_with_file_and_line(workdir, tmp_path, caplog):
+    for name in ("f.tsv", "r.tsv", "i.tsv", "o.tsv"):
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            for i in range(120):
+                fh.write(f"{i}\t{-0.5 if (name, i) == ('i.tsv', 7) else 1.0}\n")
+    out = tmp_path / "x.tsv"
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--fwd-model", tmp_path / "f.tsv", "--rev-model", tmp_path / "r.tsv",
+        "--in-lm", tmp_path / "i.tsv", "--out-lm", tmp_path / "o.tsv",
+        "--out", out,
+    )
+    assert code == 1
+    assert not out.exists() and not list(tmp_path.glob("*.partial"))
+    (record,) = caplog.records
+    assert record.message == f"{tmp_path / 'i.tsv'}: line 8: score '-0.5' is not finite and >= 0"
+
 def _score_with_edited_model(workdir, tmp_path, name, edit):
     """Run score with the model ``name`` replaced by an edited copy."""
     lines = (workdir / name).read_text(encoding="utf-8").splitlines()
@@ -387,6 +405,27 @@ def test_stats_empty_file_is_an_error(tmp_path):
     write_score_file([], path)
     assert run_cli("stats", "--scores", path) == 1
 
+
+
+@pytest.mark.parametrize("bad", ["nan", "7.5", "-0.2"])
+@pytest.mark.parametrize("command", ["select-threshold", "select-top-n", "weights", "stats"])
+def test_combined_outside_the_unit_interval_fails_every_reader_alike(
+    workdir, tmp_path, caplog, capsys, command, bad
+):
+    scores = _handmade_scores(tmp_path, [float(bad), 0.5, 0.25])
+    extract = ["--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+               "--out-prefix", tmp_path / "sel"]
+    argv = {
+        "select-threshold": ["select", "--threshold", "0.1", *extract],
+        "select-top-n": ["select", "--top-n", "1", *extract],
+        "weights": ["weights", "--out", tmp_path / "w.txt"],
+        "stats": ["stats"],
+    }[command]
+    assert run_cli(argv[0], "--scores", scores, *argv[1:]) == 1
+    (record,) = caplog.records
+    assert record.message == f"{scores}: line 2: combined {bad!r} is outside [0, 1]"
+    assert capsys.readouterr().out == ""
+    assert not {"sel.src", "sel.tgt", "w.txt"} & {p.name for p in tmp_path.iterdir()}
 
 @pytest.mark.parametrize("command", ["stats", "select", "weights"])
 def test_score_file_with_invalid_utf8_names_file_and_line(workdir, tmp_path, caplog, command):

