@@ -579,17 +579,22 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             vocab_min_count=config.lm_min_count,
         )
         log.info("pipeline: sampling candidate corpus for the out-of-domain model")
-        candidate_sample = sample(
-            open_corpus(**config.candidate_paths(), lowercase=config.lowercase),
-            config.sample_size,
-            config.seed + 1,
-        )
+        candidate_targets = [
+            p.tgt
+            for p in sample(
+                open_corpus(**config.candidate_paths(), lowercase=config.lowercase),
+                config.sample_size,
+                config.seed + 1,
+            )
+        ]
         out_lm = train_ngram(
-            [p.tgt for p in candidate_sample],
+            candidate_targets,
             order=config.lm_order,
             k=config.lm_add_k,
             vocab_min_count=config.lm_min_count,
         )
+        # Freed before the reverse table arrives, which needs room of its own.
+        del candidate_targets
         rev_tm, rev_trace = next(reverse_tm)
         _log_trace(Direction.REVERSE, rev_trace)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -236,7 +237,9 @@ def sample(
 ) -> list[SentencePair]:
     """Uniform reservoir sample of min(n, corpus size) pairs, id-ascending.
 
-    Single pass, deterministic for a fixed seed.
+    Single pass, deterministic for a fixed seed. Each pair that enters the
+    reservoir has its tokens interned, so the sample holds one string object
+    per word; pairs passed over are never interned.
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
@@ -244,10 +247,17 @@ def sample(
     reservoir: list[SentencePair] = []
     for seen, pair in enumerate(stream):
         if seen < n:
-            reservoir.append(pair)
+            reservoir.append(_interned(pair))
             continue
         slot = rng.randrange(seen + 1)
         if slot < n:
-            reservoir[slot] = pair
+            reservoir[slot] = _interned(pair)
     reservoir.sort(key=lambda p: p.id)
     return reservoir
+
+
+def _interned(pair: SentencePair) -> SentencePair:
+    intern = sys.intern
+    pair.src.tokens = list(map(intern, pair.src.tokens))
+    pair.tgt.tokens = list(map(intern, pair.tgt.tokens))
+    return pair

@@ -12,8 +12,10 @@ normalized by the token count of the generated side.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -113,19 +115,19 @@ def train_model1(
     if not oriented:
         raise TrainingError("no usable pairs: every pair had a blank side")
 
-    # Uniform initialization over co-occurring generated words.
-    cooc: dict[str, set[str]] = {}
-    for cond_tokens, gen_tokens in oriented:
-        for c in cond_tokens:
-            targets = cooc.setdefault(c, set())
-            targets.update(gen_tokens)
+    # Uniform initialization over co-occurring generated words: the table's
+    # keys are exactly the co-occurring (gen, cond) pairs, so each cond word
+    # starts at 1 / (number of columns that hold it).
     table: dict[str, dict[str, float]] = {}
     for cond_tokens, gen_tokens in oriented:
+        cond_keys = dict.fromkeys(cond_tokens, 0.0)
         for g in gen_tokens:
-            column = table.setdefault(g, {})
-            for c in cond_tokens:
-                if c not in column:
-                    column[c] = 1.0 / len(cooc[c])
+            table.setdefault(g, {}).update(cond_keys)
+    n_columns = Counter(itertools.chain.from_iterable(table.values()))
+    start = {c: 1.0 / n for c, n in n_columns.items()}
+    for column in table.values():
+        for c in column:
+            column[c] = start[c]
 
     # Every z, count and total adds its terms in corpus order, so each
     # probability is the same float whichever way the table is keyed.
@@ -133,7 +135,7 @@ def train_model1(
     n_pairs = len(oriented)
     for _ in range(iterations):
         counts: dict[str, dict[str, float]] = {g: {} for g in table}
-        totals = dict.fromkeys(cooc, 0.0)
+        totals = dict.fromkeys(n_columns, 0.0)
         log_likelihood = 0.0
         for cond_tokens, gen_tokens in oriented:
             len_norm = math.log(len(cond_tokens))

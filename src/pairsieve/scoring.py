@@ -230,36 +230,19 @@ class TableScorer:
         return self.table.lookup(pair.id)
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def format_record(record: ScoreRecord) -> str:
     flags = (("trusted",) if record.trusted else ()) + record.flags
-    return "\t".join(
-        (
-            str(record.pair_id),
-            _format_float(record.h_fwd),
-            _format_float(record.h_rev),
-            _format_float(record.h_in),
-            _format_float(record.h_out),
-            _format_float(record.adq),
-            _format_float(record.dom),
-            _format_float(record.combined),
-            ",".join(flags) if flags else "-",
-        )
+    return "%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%s" % (
+        record.pair_id,
+        record.h_fwd,
+        record.h_rev,
+        record.h_in,
+        record.h_out,
+        record.adq,
+        record.dom,
+        record.combined,
+        ",".join(flags) if flags else "-",
     )
-
-
-def write_score_file(records: Iterable[ScoreRecord], path: str | Path) -> int:
-    """Write records as headered TSV with 6-significant-digit floats."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SCORE_HEADER) + "\n")
-        for record in records:
-            fh.write(format_record(record) + "\n")
-            n += 1
-    return n
 
 
 def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
@@ -306,7 +289,7 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
 
 
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
-    """Stream records back from a score file written by write_score_file."""
+    """Stream records back from a score file written by score_corpus_to_file."""
     name = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -327,7 +310,7 @@ def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
 # rather than re-reading the file from the start.
 # ---------------------------------------------------------------------------
 
-MAX_SHARD_LINES = 25_000
+MAX_SHARD_LINES = 5_000
 # Lines between recorded byte offsets, so shards start on multiples of it;
 # it divides MAX_SHARD_LINES.
 OFFSET_GRANULE = 1_000

@@ -18,10 +18,20 @@ from pairsieve.errors import ConfigError, TrainingError
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
 from pairsieve.noise import read_labels
-from pairsieve.scoring import ScoreRecord, read_score_file, write_score_file
+from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def write_score_file(records, path):
+    """Write records as a score file, header first, the way score does;
+    returns the record count."""
+    lines = [format_record(record) + "\n" for record in records]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(SCORE_HEADER) + "\n")
+        fh.writelines(lines)
+    return len(lines)
 
 
 @pytest.fixture(scope="module")

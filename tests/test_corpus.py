@@ -172,3 +172,16 @@ def test_sample_is_an_ascending_subset(size, n, seed):
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
     assert set(ids) <= {p.id for p in pairs}
+
+
+@pytest.mark.parametrize("n", [7, 40, 100])
+def test_sample_holds_one_string_per_word(tmp_path, n):
+    """Across the sampled pairs, and between their two sides, equal tokens
+    are one object, whether a pair filled the reservoir or replaced one."""
+    words = ["alpha", "beta", "gamma", "delta"]
+    _write(tmp_path / "c.src", [" ".join(words[(i + j) % 4] for j in range(5)) for i in range(60)])
+    _write(tmp_path / "c.tgt", [" ".join(words[(i * j) % 4] for j in range(4)) for i in range(60)])
+    picked = sample(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"), n, seed=3)
+    tokens = [t for p in picked for t in p.src.tokens + p.tgt.tokens]
+    assert len(picked) == min(n, 60)
+    assert len({id(t) for t in tokens}) == len(set(tokens)) == 4

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -484,3 +485,39 @@ def test_scores_do_not_depend_on_query_string_identity(tmp_path):
         assert cond_cross_entropy(tm, fresh_x, fresh_y) == cond_cross_entropy(
             tm, shared_x, shared_y
         )
+
+
+# ---------------------------------------------------------------------------
+# EM's working set: the uniform start is counted from the table itself, so
+# training holds little beyond the table, its counts and the oriented lists.
+# ---------------------------------------------------------------------------
+
+
+def zipf_corpus(n_pairs, seed, vocab=1000):
+    """Word-for-word pairs over Zipf-weighted words with log-normal lengths."""
+    rng = random.Random(seed)
+    weights = [1 / (rank + 1) for rank in range(vocab)]
+    corpus = []
+    for i in range(n_pairs):
+        length = max(2, min(80, round(rng.lognormvariate(2.2, 0.55))))
+        ranks = rng.choices(range(vocab), weights, k=length)
+        corpus.append(
+            pair(i, " ".join(f"s{r}" for r in ranks), " ".join(f"t{r}" for r in ranks))
+        )
+    return corpus
+
+
+def test_em_peak_stays_within_a_small_multiple_of_its_table():
+    corpus = zipf_corpus(500, seed=11)
+    # Interns the corpus's words first, so no growth of the interpreter's
+    # intern table is counted as part of the model.
+    train_model1(corpus, iterations=1)
+    tracemalloc.start()  # traces only what training allocates
+    try:
+        model, _ = train_model1(corpus, iterations=2, min_gain=None)
+        table_bytes, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, model.table.values())) > 10_000
+    # Per-word co-occurrence sets kept beside the table push this past 3.3x.
+    assert peak <= 2.75 * table_bytes

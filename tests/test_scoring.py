@@ -14,20 +14,31 @@ from pairsieve.scoring import (
     MAX_SHARD_LINES,
     OFFSET_GRANULE,
     SCORE_HEADER,
+    ScoreRecord,
     TableScorer,
     adequacy,
     domain_score,
     dual_score,
+    format_record,
     make_record,
     parse_record,
     read_score_file,
     score_corpus,
     score_corpus_to_file,
     shard_plan,
-    write_score_file,
 )
 
 finite_h = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+
+def write_score_file(records, path):
+    """Write records as a score file, header first, the way score does;
+    returns the record count."""
+    lines = [format_record(record) + "\n" for record in records]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(SCORE_HEADER) + "\n")
+        fh.writelines(lines)
+    return len(lines)
 
 
 def oracle_scores(h_fwd, h_rev, h_in, h_out, trusted):
@@ -227,6 +238,30 @@ def test_score_file_round_trip(tmp_path):
     assert loaded[0].combined == pytest.approx(records[0].combined, rel=1e-5)
 
 
+def per_field_format(record):
+    """The record line as a join of per-field f"{x:.6g}" strings."""
+    flags = (("trusted",) if record.trusted else ()) + record.flags
+    floats = (record.h_fwd, record.h_rev, record.h_in, record.h_out,
+              record.adq, record.dom, record.combined)
+    return "\t".join(
+        [str(record.pair_id), *(f"{x:.6g}" for x in floats), ",".join(flags) or "-"]
+    )
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 0.0, 1.0, 1e-300, -0.0, 0.123456789, 12345678.9]
+)
+def test_format_record_equals_the_per_field_join(value):
+    records = [
+        ScoreRecord(7, value, value, value, value, value, value, value),
+        ScoreRecord(8, value, 2.5, value, 0.25, 1.0, value, value, trusted=True,
+                    flags=("blank_src", "overlength_tgt")),
+        make_record(9, 1.5, 2.25, 4.0, 3.5, trusted=True),
+    ]
+    for record in records:
+        assert format_record(record) == per_field_format(record)
+
+
 def _score_file(body):
     return ("\t".join(SCORE_HEADER) + "\n" + body + "\n").encode()
 
@@ -349,8 +384,8 @@ def test_shard_plan_covers_the_corpus_in_bounded_shards():
     assert shard_plan(0, 2) == []
     assert shard_plan(1, 2) == [(0, 0), (0, 1)]
     # The sievebench crawls at 2 workers: score-crawl, table-select, pipeline-train.
-    assert shard_plan(50_000, 2) == [(0, 25_000), (25_000, 25_000)]
-    assert shard_plan(100_000, 2) == [(i * 25_000, 25_000) for i in range(4)]
+    assert shard_plan(50_000, 2) == [(i * 5_000, 5_000) for i in range(10)]
+    assert shard_plan(100_000, 2) == [(i * 5_000, 5_000) for i in range(20)]
     assert shard_plan(4_000, 2) == [(0, 2_000), (2_000, 2_000)]
 
 
