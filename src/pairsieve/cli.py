@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -488,10 +489,13 @@ class PipelineConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from None
-        for key, low in (("workers", 1), ("top_n", 0), ("sample_size", 0), ("max_tokens", 1)):
+        for key, low in (("workers", 1), ("top_n", 0), ("sample_size", 0), ("max_tokens", 1),
+                         ("lm_order", 1), ("tm_iterations", 1)):
             value = getattr(config, key)
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not 0.0 < config.lm_add_k < math.inf:
+            raise ConfigError(f"lm_add_k must be finite and > 0, got {config.lm_add_k}")
         if config.threshold is not None and not 0.0 <= config.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {config.threshold}")
         return config

@@ -1,24 +1,38 @@
-"""Run calls in forked child processes: the only module that knows how work
-reaches a child. A child inherits the function and its arguments through
-fork, so only the index of each call goes out and only its result comes back.
-"""
+"""Run calls in forked child processes, the only module that forks. A child
+inherits its call through fork and sends back only the pickled outcome."""
 
 from __future__ import annotations
 
 import collections
-import multiprocessing
+import itertools
+import os
+import pickle
+import signal
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
 from .errors import PairsieveError
 
-# The function and arguments of the running pool, inherited by its children.
-_CALLS: tuple[Callable, Sequence] | None = None
 
-
-def _call(index: int):
-    fn, args = _CALLS
-    return fn(args[index])
+def _start(fn: Callable, arg):
+    """Fork a child that writes the pickled ``(ok, value)`` of ``fn(arg)`` to a
+    pipe, exiting 0 once all is written; return its pid and the read end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                outcome = (True, fn(arg))
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
 
 
 @contextmanager
@@ -28,58 +42,39 @@ def forked_map(
     """Run ``fn(arg)`` for each of ``args``; the block reads the results in
     order from the iterator it is given.
 
-    With ``workers`` >= 2, min(workers, len(args)) forked children run the
-    calls. The first ones start as the block is entered, so the caller can
-    work alongside them. A call starts only while fewer than ``workers`` run
-    and none has failed, so after an error only the running calls finish. A
-    dead child raises PairsieveError, named by ``what(arg)`` of the first call
-    it lost. The block's end stops every child, on every path. With one
-    worker each call runs in this process when its result is read.
+    With ``workers`` >= 2, each call runs in a forked child, at most
+    ``workers`` at once, the first from the block's entry so the caller can
+    work alongside them. A call starts once the oldest child's result is
+    read, so none starts after an error. A dead child raises PairsieveError
+    named by ``what(arg)`` of its own call. The block's end kills and reaps
+    every child left. With one worker each call runs here when read.
     """
     if workers < 2 or not args:
         yield map(fn, args)
         return
-    # Imported here: these modules add 1.4 MiB to every command's resident
-    # set, and only the forking path uses them.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    global _CALLS
-    _CALLS = (fn, args)
-    context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(min(workers, len(args)), mp_context=context)
-    started = collections.deque()  # (index, future) of unread calls, in order
-    n_started = 0
-
-    def start_calls() -> None:
-        nonlocal n_started
-        while n_started < len(args):
-            futures = [future for _, future in started]
-            if sum(not f.done() for f in futures) >= workers or any(
-                f.done() and f.exception() for f in futures
-            ):
-                return
-            started.append((n_started, pool.submit(_call, n_started)))
-            n_started += 1
+    pending = iter(args)
+    running = collections.deque()  # (arg, pid, pipe) of unread calls, in order
 
     def results() -> Iterator:
-        while started:
-            index, future = started[0]
-            if not future.done():
-                wait([f for _, f in started if not f.done()], return_when=FIRST_COMPLETED)
-                start_calls()
-                continue
-            started.popleft()
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                raise PairsieveError(f"{what(args[index])}: a worker process died") from None
-            start_calls()
-            yield result
+        while running:
+            arg, pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.popleft()
+            if status or not data:
+                raise PairsieveError(f"{what(arg)}: a worker process died")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            running.extend((arg, *_start(fn, arg)) for arg in itertools.islice(pending, 1))
+            yield value
 
     try:
-        start_calls()
+        running.extend((arg, *_start(fn, arg)) for arg in itertools.islice(pending, workers))
         yield results()
     finally:
-        pool.shutdown()
-        _CALLS = None
+        for _, pid, pipe in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()

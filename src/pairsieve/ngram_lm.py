@@ -50,8 +50,8 @@ class NgramLanguageModel:
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if k <= 0:
-            raise ValueError("add-k constant must be > 0")
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"add-k constant must be finite and > 0, got {k!r}")
         self.order = order
         self.k = k
         self.vocab = vocab
@@ -124,8 +124,8 @@ def train_ngram(
     """
     if order < 1:
         raise TrainingError("order must be >= 1")
-    if k <= 0:
-        raise TrainingError("add-k constant must be > 0")
+    if not 0.0 < k < math.inf:
+        raise TrainingError(f"add-k constant must be finite and > 0, got {k!r}")
     if iter(mono) is mono:
         mono = [s for s in mono]  # two passes needed: vocab, then counts
 

@@ -380,7 +380,7 @@ def score_corpus_to_file(
         with forked_map(
             score_shard,
             shards,
-            min(workers, len(shards)),
+            workers,
             lambda shard: f"scoring pairs {shard[0]}-{shard[0] + shard[1] - 1}",
         ) as blobs:
             for blob in blobs:

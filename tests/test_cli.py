@@ -1,7 +1,6 @@
 import ast
 import faulthandler
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -194,6 +193,16 @@ def test_score_rejects_an_lm_with_k_zero_at_load(workdir, tmp_path, caplog):
     assert not (tmp_path / "x.tsv").exists()
     (record,) = caplog.records
     assert record.message.startswith(f"{bad}: line 3: ")
+
+
+def test_train_lm_rejects_a_nan_add_k(workdir, tmp_path, caplog):
+    """A non-finite add-k fails before training, so no model nothing can
+    load is written."""
+    out = tmp_path / "bad.lm"
+    assert run_cli("train-lm", "--in", workdir / "trusted.tgt", "--out", out, "--add-k", "nan") == 1
+    (record,) = caplog.records
+    assert record.message == "add-k constant must be finite and > 0, got nan"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -530,6 +539,10 @@ def test_score_rejects_workers_below_one_as_a_usage_error(tmp_path, capsys, flag
         pytest.param("threshold", "2", "threshold must be in [0, 1], got 2.0", id="threshold-2"),
         pytest.param("threshold", "-0.5", "threshold must be in [0, 1], got -0.5", id="threshold--0.5"),
         pytest.param("threshold", "nan", "threshold must be in [0, 1], got nan", id="threshold-nan"),
+        pytest.param("lm_order", "0", "lm_order must be >= 1, got 0", id="lm_order-0"),
+        pytest.param("tm_iterations", "0", "tm_iterations must be >= 1, got 0", id="tm_iterations-0"),
+        pytest.param("lm_add_k", "nan", "lm_add_k must be finite and > 0, got nan", id="lm_add_k-nan"),
+        pytest.param("lm_add_k", "-1", "lm_add_k must be finite and > 0, got -1.0", id="lm_add_k--1"),
     ],
 )
 def test_pipeline_config_rejects_workers_below_one(key, value, message):
@@ -694,20 +707,27 @@ def test_pipeline_fails_cleanly_when_reverse_training_fails(
     else:
         assert record.message == "reverse training failed in the child"
     assert all(p.name.endswith(".partial") for p in tmp_path.glob("pipe.*"))
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch):
+@pytest.mark.parametrize(
+    "n, killed_at, lost",
+    [
+        pytest.param(2_500, 500, "0-999", id="first-shard"),  # shards 0-999, 1000-2499
+        pytest.param(4_000, 2_500, "2000-3999", id="second-shard"),  # 0-1999, 2000-3999
+    ],
+)
+def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch, n, killed_at, lost):
     """A scoring worker killed by SIGKILL ends score with exit 1 and one log
-    line naming the pairs it lost, leaves only .partial output and no child
-    running. A multiprocessing.Pool waits forever for the lost shard."""
-    n = 2_500  # two shards at 2 workers: pairs 0-999 and 1000-2499
+    line naming the pairs of its own shard, even when the shard before it
+    finished; it leaves only .partial output and no child process."""
     for side in ("src", "tgt"):
         (tmp_path / f"c.{side}").write_text(f"{side} words here\n" * n, encoding="utf-8")
     parent = os.getpid()
 
     def scorer(pair):
-        if pair.id == 500 and os.getpid() != parent:
+        if pair.id == killed_at and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return 1.0
 
@@ -723,9 +743,10 @@ def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch):
         faulthandler.cancel_dump_traceback_later()
     assert code == 1
     (record,) = caplog.records
-    assert record.message == "scoring pairs 0-999: a worker process died"
+    assert record.message == f"scoring pairs {lost}: a worker process died"
     assert [p.name for p in tmp_path.glob("s.tsv*")] == ["s.tsv.partial"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pipeline_fails_on_a_missing_candidate_file_before_training(
@@ -789,13 +810,18 @@ def test_an_unexpected_error_exits_1_with_one_line(tmp_path, level):
 
 
 def test_only_the_forked_module_starts_processes():
-    """Importing the CLI loads no process pool, and no other module of the
-    package imports multiprocessing or concurrent.futures."""
+    """No module of the package imports multiprocessing or concurrent, even
+    after forked_map has run, no thread runs beside its children, and only
+    forked.py calls os.fork."""
     proc = subprocess.run(
         [
             sys.executable, "-c",
-            "import sys, pairsieve.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing.pool'} & set(sys.modules)))",
+            "import sys, threading, pairsieve.cli\n"
+            "with pairsieve.cli.forked_map(abs, [-1, -2, -3], 2, str) as results:\n"
+            "    assert threading.active_count() == 1\n"
+            "    assert list(results) == [1, 2, 3]\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))",
         ],
         capture_output=True,
         text=True,
@@ -804,9 +830,11 @@ def test_only_the_forked_module_starts_processes():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
-    importers = set()
+    importers, forkers = set(), set()
     for path in sorted((REPO_ROOT / "src" / "pairsieve").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                forkers.add(path.name)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -815,4 +843,5 @@ def test_only_the_forked_module_starts_processes():
                 continue
             if any(name.split(".")[0] in ("multiprocessing", "concurrent") for name in names):
                 importers.add(path.name)
-    assert importers == {"forked.py"}
+    assert importers == set()
+    assert forkers == {"forked.py"}

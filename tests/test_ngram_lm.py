@@ -172,6 +172,12 @@ def test_empty_stream_raises():
         train_ngram([], order=1, k=1.0, vocab_min_count=1)
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_train_rejects_an_add_k_that_is_not_finite_and_positive(k):
+    with pytest.raises(TrainingError, match=r"^add-k constant must be finite and > 0, got "):
+        train_ngram(sentences("a b"), order=1, k=k, vocab_min_count=1)
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     rng = random.Random(3)
     corpus = [

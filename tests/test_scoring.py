@@ -1,7 +1,7 @@
 import math
-import multiprocessing
 import os
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -390,9 +390,9 @@ def test_shard_plan_covers_the_corpus_in_bounded_shards():
 
 
 def test_a_failed_shard_starts_no_further_shard(tmp_path, monkeypatch):
-    """A ScoringError in the first of 8 shards at 2 workers ends the run after
-    the shard running beside it: no shard behind them starts. Forked workers
-    append every pair id they score to one O_APPEND file."""
+    """A ScoringError in the first of 8 shards at 2 workers ends the run and
+    kills the shard running beside it: no shard behind them starts. Forked
+    workers append every pair id they score to one O_APPEND file."""
     monkeypatch.setattr(scoring, "MAX_SHARD_LINES", OFFSET_GRANULE)
     n = 8 * OFFSET_GRANULE
     assert len(shard_plan(n, 2)) == 8
@@ -416,4 +416,29 @@ def test_a_failed_shard_starts_no_further_shard(tmp_path, monkeypatch):
     scored = {int(line) for line in (tmp_path / "scored.log").read_text().split()}
     assert 0 in scored
     assert max(scored) < 2 * OFFSET_GRANULE
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_scorer_error_kills_the_running_shards(tmp_path):
+    """A ScoringError in shard 0 raises at once, though shard 1 would take
+    60 s: the error does not wait for the shard running beside it."""
+    src, tgt = _write_corpus(tmp_path, 2 * OFFSET_GRANULE)
+    assert len(shard_plan(2 * OFFSET_GRANULE, 2)) == 2
+
+    def scorer(pair):
+        if pair.id == 0:
+            raise ScoringError("pair 0: refused")
+        if pair.id == OFFSET_GRANULE:
+            time.sleep(60)
+        return 1.0
+
+    started = time.monotonic()
+    with pytest.raises(ScoringError, match="^pair 0: refused$"):
+        score_corpus_to_file(
+            tmp_path / "s.tsv", scorer, scorer, scorer, scorer,
+            src_path=src, tgt_path=tgt, workers=2,
+        )
+    assert time.monotonic() - started < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
