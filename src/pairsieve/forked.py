@@ -8,15 +8,22 @@ import itertools
 import os
 import pickle
 import signal
+import traceback
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
 from .errors import PairsieveError
 
 
+class ChildTraceback(Exception):
+    """The traceback text of an exception raised in a child: the cause of the
+    exception the parent raises in its place, as in concurrent.futures."""
+
+
 def _start(fn: Callable, arg):
     """Fork a child that writes the pickled ``(ok, value)`` of ``fn(arg)`` to a
-    pipe, exiting 0 once all is written; return its pid and the read end."""
+    pipe, exiting 0 once all is written; return its pid and the read end. On
+    an exception the value is the exception and its formatted traceback."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -25,7 +32,7 @@ def _start(fn: Callable, arg):
             try:
                 outcome = (True, fn(arg))
             except Exception as exc:
-                outcome = (False, exc)
+                outcome = (False, (exc, traceback.format_exc()))
             with os.fdopen(w, "wb") as pipe:
                 pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             os._exit(0)
@@ -66,7 +73,8 @@ def forked_map(
                 raise PairsieveError(f"{what(arg)}: a worker process died")
             ok, value = pickle.loads(data)
             if not ok:
-                raise value
+                exc, text = value
+                raise exc from ChildTraceback(f'\n"""\n{text}"""')
             running.extend((arg, *_start(fn, arg)) for arg in itertools.islice(pending, 1))
             yield value
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,6 +43,8 @@ _VERSION = 1
 
 DEFAULT_ITERATIONS = 5
 DEFAULT_MIN_GAIN = 1e-6  # nats per pair; early-stop cutoff
+
+TABLE_BLOCK_CHARS = 1 << 18  # an in-order score table is read 256 KiB at a time
 
 EmTrace = list[float]
 
@@ -255,11 +258,12 @@ class ExternalScoreTable:
 
     The bridge for scores produced outside the toolkit (for example by neural
     translation models). Scores must use the shared convention: nats per
-    token of the generated side, end event included.
+    token of the generated side, end event included. They are held as one
+    ``array('d')``, 8 bytes per score; any other sequence is copied into one.
     """
 
-    def __init__(self, scores: list[float], source: str = "external score table"):
-        self._scores = scores
+    def __init__(self, scores: Sequence[float], source: str = "external score table"):
+        self._scores = scores if isinstance(scores, array) else array("d", scores)
         self.source = source  # the file it came from, for error messages
 
     def __len__(self) -> int:
@@ -275,7 +279,53 @@ class ExternalScoreTable:
 
 
 def load_external_scores(path: str | Path) -> ExternalScoreTable:
-    """Load a headerless TSV of (pair id, cross-entropy) with ids dense from 0."""
+    """Load a headerless TSV of (pair id, cross-entropy) with ids dense from 0.
+
+    A table whose line i is exactly ``i<TAB>value`` loads a block at a time;
+    any other table, and any table with a fault, is read by the line loop,
+    which alone words the errors, so both paths accept the same files and
+    load the same floats.
+    """
+    try:
+        scores = _read_in_order(path)
+    except ValueError:  # a bad value or invalid UTF-8: the line loop names it
+        scores = None
+    if not scores:  # another layout, a fault, or an empty file
+        scores = _read_any_order(path)
+    return ExternalScoreTable(scores, source=str(path))
+
+
+def _read_in_order(path: str | Path) -> array | None:
+    """The scores of a table whose line i is ``i<TAB>value`` for every i, each
+    value finite and >= 0, read a block at a time; None if a block is laid out
+    otherwise or holds another value. A value that does not parse, or text
+    that is not UTF-8, raises ValueError."""
+    scores = array("d")
+    with open(path, "r", encoding="utf-8") as fh:
+        while block := fh.read(TABLE_BLOCK_CHARS):
+            if block[-1] != "\n":
+                block += fh.readline()
+                if block[-1] != "\n":  # the last line has no newline
+                    block += "\n"
+            fields = block.replace("\n", "\t").split("\t")
+            values = fields[1::2]
+            ids = map(str, range(len(scores), len(scores) + len(values)))
+            # Rebuilt from its ids and values, the block must come out the
+            # same: one tab per line and line i's id written as str(i).
+            if "\n".join(map("\t".join, zip(ids, values))) + "\n" != block:
+                return None
+            block_scores = array("d", map(float, values))
+            # Cross-entropies are >= 0; a nan or inf makes the sum fail.
+            if not (min(block_scores) >= 0.0 and sum(block_scores) < math.inf):
+                return None
+            scores.extend(block_scores)
+    return scores
+
+
+def _read_any_order(path: str | Path) -> array:
+    """The line loop: ids in any order, blank lines skipped; every fault
+    raises ExternalScoreError naming the file and, where there is one, the
+    line."""
     entries: dict[int, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -294,6 +344,10 @@ def load_external_scores(path: str | Path) -> ExternalScoreTable:
                     raise ExternalScoreError(
                         f"{path}: line {line_no}: non-integer id {parts[0]!r}"
                     ) from None
+                if pair_id < 0:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: negative id {parts[0]!r}"
+                    )
                 try:
                     value = float(parts[1])
                 except ValueError:
@@ -319,4 +373,4 @@ def load_external_scores(path: str | Path) -> ExternalScoreTable:
         raise ExternalScoreError(
             f"{path}: ids are not dense from 0: id {missing} is missing"
         )
-    return ExternalScoreTable([entries[i] for i in range(len(entries))], source=str(path))
+    return array("d", map(entries.__getitem__, range(len(entries))))

@@ -14,6 +14,7 @@ from pairsieve import cli, corpus
 from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
 from pairsieve.errors import ConfigError, TrainingError
+from pairsieve.forked import ChildTraceback, forked_map
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
 from pairsieve.noise import read_labels
@@ -845,3 +846,42 @@ def test_only_the_forked_module_starts_processes():
                 importers.add(path.name)
     assert importers == set()
     assert forkers == {"forked.py"}
+
+
+def test_the_package_imports_only_the_standard_library():
+    """Every import in the package is relative or names a module of the
+    standard library, so pairsieve stays stdlib-only."""
+    outside = set()
+    for path in sorted((REPO_ROOT / "src" / "pairsieve").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update(
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            )
+    assert outside == set()
+
+
+def fail_on_the_second_call(x):
+    if x == 2:
+        raise ValueError(f"no pair {x}")
+    return x
+
+
+def test_a_forked_error_keeps_the_childs_traceback():
+    """An exception raised in a child is raised in the parent unchanged, with
+    the child's formatted traceback as its cause."""
+    with pytest.raises(ValueError) as info:
+        with forked_map(fail_on_the_second_call, [1, 2], 2, str) as results:
+            list(results)
+    assert str(info.value) == "no pair 2"
+    cause = info.value.__cause__
+    assert isinstance(cause, ChildTraceback)
+    assert "in fail_on_the_second_call" in str(cause)
+    assert str(cause).rstrip().endswith('ValueError: no pair 2\n"""')

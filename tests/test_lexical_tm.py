@@ -14,10 +14,12 @@ from pairsieve.errors import (
     ModelFormatError,
     TrainingError,
 )
+from pairsieve import lexical_tm
 from pairsieve.lexical_tm import (
     NULL,
     PROB_FLOOR,
     Direction,
+    ExternalScoreTable,
     LexicalTranslationModel,
     cond_cross_entropy,
     load_external_scores,
@@ -256,6 +258,96 @@ def test_external_scores_must_be_dense(tmp_path):
     (tmp_path / "s.tsv").write_text("0\t1.0\n2\t1.0\n", encoding="utf-8")
     with pytest.raises(ExternalScoreError, match="dense"):
         load_external_scores(tmp_path / "s.tsv")
+
+
+def test_external_scores_reject_a_negative_id_with_file_line_and_id(tmp_path):
+    (tmp_path / "s.tsv").write_text("0\t1.0\n-1\t2.0\n", encoding="utf-8")
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: negative id '-1'"
+
+
+# The bulk path: a table whose line i is "i<TAB>value" loads a block at a
+# time. Small blocks make a short table span many of them, with block ends
+# inside lines and on line ends.
+BLOCK_SIZES = [1, 7, 16, 64]
+TABLE_VALUES = [round(0.37 * i % 9.5, 6) for i in range(50)]
+
+
+def in_order_table(values=TABLE_VALUES):
+    return "".join(f"{i}\t{v}\n" for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_in_order_table_loads_in_blocks_without_the_line_loop(tmp_path, monkeypatch, block):
+    (tmp_path / "s.tsv").write_text(in_order_table(), encoding="utf-8")
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+
+    def no_line_loop(path):
+        raise AssertionError("an in-order table reached the line loop")
+
+    monkeypatch.setattr(lexical_tm, "_read_any_order", no_line_loop)
+    table = load_external_scores(tmp_path / "s.tsv")
+    assert [table.lookup(i) for i in range(len(table))] == TABLE_VALUES
+    assert table._scores.typecode == "d"  # 8 bytes per score
+
+
+def test_a_table_built_from_a_list_holds_an_array():
+    table = ExternalScoreTable([1, 2.5])
+    assert table._scores.typecode == "d"
+    assert [table.lookup(0), table.lookup(1)] == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("abc", "non-numeric score 'abc'"),
+        ("nan", "score 'nan' is not finite and >= 0"),
+        ("-0.5", "score '-0.5' is not finite and >= 0"),
+    ],
+)
+def test_a_bad_value_after_the_first_block_fails_with_the_line_loops_message(
+    tmp_path, monkeypatch, block, bad, message
+):
+    values = [str(v) for v in TABLE_VALUES]
+    values[40] = bad
+    (tmp_path / "s.tsv").write_text(in_order_table(values), encoding="utf-8")
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 41: {message}"
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_a_misaligned_table_fails_at_line_1(tmp_path, monkeypatch, block):
+    # Two tabs and two lines, but one line holds both tabs.
+    (tmp_path / "s.tsv").write_text("0\t0.5\t1\n0.25\n", encoding="utf-8")
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == (
+        f"{tmp_path / 's.tsv'}: line 1: expected 'id\\tscore', got '0\\t0.5\\t1'"
+    )
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\t0.75\n0\t1.5\n1\t0.25\n",  # ids out of order
+        "0\t1.5\n\n1\t0.25\n2\t0.75\n",  # a blank line
+        "0\t1.5\r\n1\t0.25\r\n2\t0.75\r\n",  # CRLF line ends
+        "0\t1.5\n01\t0.25\n2\t0.75\n",  # an id written 01
+        "0\t1.5\n1\t0.25\n2\t0.75",  # no final newline
+    ],
+    ids=["out-of-order", "blank-line", "crlf", "id-01", "no-final-newline"],
+)
+def test_other_layouts_load_the_same_values(tmp_path, monkeypatch, block, text):
+    (tmp_path / "s.tsv").write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    table = load_external_scores(tmp_path / "s.tsv")
+    assert [table.lookup(i) for i in range(len(table))] == [1.5, 0.25, 0.75]
 
 
 # ---------------------------------------------------------------------------
