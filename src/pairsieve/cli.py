@@ -551,8 +551,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     weight the candidate corpus. Returns the map of written artifacts.
 
     With ``workers`` >= 2 the reverse translation model trains in a forked
-    child while this process trains everything else; the artifacts are the
-    same bytes for any ``workers``.
+    child while this process trains everything else, and the trusted sample
+    is freed once the forward model and the in-domain LM are trained; the
+    artifacts are the same bytes for any ``workers``.
     """
     prefix = config.out_prefix
     session = _AtomicSession()
@@ -582,6 +583,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             k=config.lm_add_k,
             vocab_min_count=config.lm_min_count,
         )
+        # The child holds its own copy; with one worker the reverse call
+        # still holds the sample until it runs.
+        del trusted_sample
         log.info("pipeline: sampling candidate corpus for the out-of-domain model")
         candidate_targets = [
             p.tgt

@@ -338,16 +338,19 @@ def _read_any_order(path: str | Path) -> array:
                     raise ExternalScoreError(
                         f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
                     )
-                try:
-                    pair_id = int(parts[0])
-                except ValueError:
+                # ASCII digits only: int() would also take a sign, spaces,
+                # underscores and the digits of other scripts.
+                id_text = parts[0]
+                digits = id_text.removeprefix("-")
+                if not (digits.isascii() and digits.isdigit()):
                     raise ExternalScoreError(
-                        f"{path}: line {line_no}: non-integer id {parts[0]!r}"
-                    ) from None
-                if pair_id < 0:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: negative id {parts[0]!r}"
+                        f"{path}: line {line_no}: non-integer id {id_text!r}"
                     )
+                if digits != id_text:
+                    raise ExternalScoreError(
+                        f"{path}: line {line_no}: negative id {id_text!r}"
+                    )
+                pair_id = int(id_text)
                 try:
                     value = float(parts[1])
                 except ValueError:

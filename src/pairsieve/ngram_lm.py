@@ -13,6 +13,7 @@ Conventions shared with every other scorer in the toolkit:
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
@@ -201,8 +202,10 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
     vocab_size = model.count(3, "vocab")
     if vocab_size < 1:
         raise model.error(3, f"vocab must not be empty, got {vocab_size}")
+    # One string object per word, shared by the vocabulary and every n-gram.
+    intern = sys.intern
     words = model.section(4, vocab_size, "vocab")
-    vocab = set(words)
+    vocab = set(map(intern, words))
     if len(vocab) != vocab_size:
         raise model.repeat_error(4, words, "vocab entry")
 
@@ -217,7 +220,7 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
         except ValueError:
             why = f"expected 'ngram\\tcount' with an integer count, got {line!r}"
             raise model.row_error(ngram_start, line, why) from None
-        ngram = tuple(text.split(" "))
+        ngram = tuple(map(intern, text.split(" ")))
         if count < 0:
             raise model.row_error(ngram_start, line, f"negative count: {count_text!r}")
         if len(ngram) != order:

@@ -2,10 +2,13 @@ import ast
 import faulthandler
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 from pairsieve import cli, corpus
 from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
-from pairsieve.errors import ConfigError, TrainingError
+from pairsieve.errors import ConfigError, PairsieveError, TrainingError
 from pairsieve.forked import ChildTraceback, forked_map
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
@@ -885,3 +888,102 @@ def test_a_forked_error_keeps_the_childs_traceback():
     assert isinstance(cause, ChildTraceback)
     assert "in fail_on_the_second_call" in str(cause)
     assert str(cause).rstrip().endswith('ValueError: no pair 2\n"""')
+
+
+class Box:
+    def __init__(self, n):
+        self.n = n
+
+
+def test_forked_map_drops_each_argument_once_its_child_is_forked():
+    """The parent keeps no reference to an argument after forking the child
+    that runs it; only the child's inherited copy and ``what`` of it remain."""
+    boxes = [Box(n) for n in range(3)]
+    refs = [weakref.ref(box) for box in boxes]
+    block = forked_map(lambda box: box.n * 2, boxes, 2, lambda box: f"box {box.n}")
+    del boxes
+    with block as results:
+        assert [ref() for ref in refs] == [None, None, None]
+        assert list(results) == [0, 2, 4]
+
+
+def test_forked_map_runs_every_call_of_a_worker_in_one_child():
+    """With 2 workers, 10 calls run in two children: child k runs calls k,
+    k + 2, ...."""
+    with forked_map(lambda _: os.getpid(), list(range(10)), 2, str) as results:
+        pids = list(results)
+    assert os.getpid() not in pids
+    assert pids[0] != pids[1]
+    assert pids == [pids[0], pids[1]] * 5
+    with pytest.raises(ChildProcessError):  # no child left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_starts_a_call_only_once_the_oldest_result_is_read(tmp_path):
+    """Reading result 0 lets child 0 start call 2; child 1 waits with call 3
+    until result 1 is read, so no call beyond 2 starts."""
+    log_fd = os.open(tmp_path / "started.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(n):
+        os.write(log_fd, f"{n}\n".encode())
+        return n
+
+    try:
+        with forked_map(logged, list(range(6)), 2, str) as results:
+            assert next(results) == 0
+            time.sleep(0.3)
+            started = {int(n) for n in (tmp_path / "started.log").read_text().split()}
+    finally:
+        os.close(log_fd)
+    assert started <= {0, 1, 2}
+
+
+class DiesWhenPickled:
+    def __reduce__(self):
+        os._exit(1)
+
+
+def die_mid_result(n):
+    """Call 3's result is pickled in part, far past one pipe buffer, and then
+    its child dies."""
+    if n == 3:
+        return [str(i) * 100 for i in range(3_000)] + [DiesWhenPickled()]
+    return n
+
+
+def test_a_child_that_dies_mid_result_is_named_by_its_own_call():
+    got = []
+    with pytest.raises(PairsieveError, match=r"^call 3: a worker process died$"):
+        with forked_map(die_mid_result, list(range(5)), 2, lambda n: f"call {n}") as results:
+            got.extend(results)
+    assert got == [0, 1, 2]
+    with pytest.raises(ChildProcessError):  # no child left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TrackedSample(list):
+    """A list that a weakref can follow."""
+
+
+def test_pipeline_frees_the_trusted_sample_before_the_reverse_model_arrives(
+    workdir, tmp_path, monkeypatch
+):
+    """At 2 workers no pair of the trusted sample is left in this process when
+    the reverse model is read from its child."""
+    real_sample, real_load, refs, alive = cli.sample, pickle.load, [], []
+
+    def tracked_sample(pairs, size, seed):
+        drawn = real_sample(pairs, size, seed)
+        if not refs:  # the first draw is the trusted sample
+            drawn = TrackedSample(drawn)
+            refs.append(weakref.ref(drawn))
+        return drawn
+
+    def load(file):
+        alive.append(refs[0]() is not None)
+        return real_load(file)
+
+    monkeypatch.setattr(cli, "sample", tracked_sample)
+    monkeypatch.setattr(pickle, "load", load)
+    assert run_cli("pipeline", "--config", _pipeline_config(workdir, tmp_path, 2)) == 0
+    assert alive[0] is False  # the first result read is the reverse model

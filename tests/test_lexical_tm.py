@@ -267,6 +267,18 @@ def test_external_scores_reject_a_negative_id_with_file_line_and_id(tmp_path):
     assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: negative id '-1'"
 
 
+@pytest.mark.parametrize(
+    "bad_id", ["+2", " 3 ", "1_0", "\u0661"], ids=["plus", "spaces", "underscore", "arabic-indic"]
+)
+def test_external_scores_accept_only_ascii_digit_ids(tmp_path, bad_id):
+    """int() takes each of these ids; a table id is ASCII digits only, so
+    the table fails at the line that holds it."""
+    (tmp_path / "s.tsv").write_text(f"0\t1.0\n{bad_id}\t2.0\n", encoding="utf-8")
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: non-integer id {bad_id!r}"
+
+
 # The bulk path: a table whose line i is "i<TAB>value" loads a block at a
 # time. Small blocks make a short table span many of them, with block ends
 # inside lines and on line ends.

@@ -195,6 +195,22 @@ def test_save_load_round_trip_is_exact(tmp_path):
         assert cross_entropy(loaded, s) == cross_entropy(lm, s)
 
 
+def test_a_loaded_model_holds_one_string_per_word(tmp_path):
+    """The n-gram keys of a loaded model share the vocabulary's string
+    objects: no more distinct word objects than vocabulary words."""
+    rng = random.Random(5)
+    corpus = [
+        tokenize(" ".join(rng.choice("abcdef") for _ in range(rng.randint(1, 10))))
+        for _ in range(80)
+    ]
+    save_lm(train_ngram(corpus, order=3, k=0.25, vocab_min_count=2), tmp_path / "m.lm")
+    loaded = load_lm(tmp_path / "m.lm")
+    vocab_ids = {id(word) for word in loaded.vocab}
+    key_ids = {id(word) for ngram in loaded.ngram_counts for word in ngram}
+    assert len(key_ids) <= len(loaded.vocab)
+    assert key_ids <= vocab_ids
+
+
 def test_load_truncated_file_is_a_parse_error(tmp_path):
     lm = uniform_over_four()
     save_lm(lm, tmp_path / "m.lm")
