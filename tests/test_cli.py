@@ -1,5 +1,6 @@
 import ast
 import faulthandler
+import json
 import math
 import os
 import pickle
@@ -959,6 +960,26 @@ def test_a_child_that_dies_mid_result_is_named_by_its_own_call():
     assert got == [0, 1, 2]
     with pytest.raises(ChildProcessError):  # no child left running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_peak_rss_reports_the_commands_own_usage_and_exit_status():
+    """scripts/peak_rss.py prints one JSON line after the command's output
+    and exits with the command's status; the peak counts what it touched."""
+    proc = subprocess.run(
+        [
+            sys.executable, str(REPO_ROOT / "scripts" / "peak_rss.py"), "--",
+            sys.executable, "-c", "import sys; b = b'x' * (40 << 20); print('ran'); sys.exit(3)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    ran, line = proc.stdout.splitlines()
+    assert ran == "ran"
+    usage = json.loads(line)
+    assert set(usage) == {"cmd", "exit", "wall_s", "cpu_s", "maxrss_mib", "minflt"}
+    assert usage["exit"] == 3 and usage["cmd"][0] == sys.executable
+    assert usage["maxrss_mib"] >= 40 and usage["minflt"] > 0
 
 
 class TrackedSample(list):
