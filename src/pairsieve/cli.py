@@ -13,13 +13,13 @@ import math
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .corpus import (
     DEFAULT_MAX_TOKENS,
     Provenance,
-    SentencePair,
     open_corpus,
     read_mono,
     read_rows,
@@ -33,7 +33,6 @@ from .lexical_tm import (
     TM_MAGIC,
     Direction,
     EmTrace,
-    LexicalTranslationModel,
     load_external_scores,
     load_tm,
     save_tm,
@@ -70,6 +69,7 @@ from .scoring import (
     score_corpus_to_file,
 )
 from .selection import (
+    SelectionResult,
     emit_weights,
     extract_selected,
     select_by_threshold,
@@ -230,12 +230,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _select(scores: str, top_n: int | None, threshold: float | None) -> SelectionResult:
+    """Select from the score file at ``scores`` by ``top_n`` if it is given,
+    else by ``threshold``."""
+    records = read_score_file(scores)
+    if top_n is not None:
+        return select_top_n(records, top_n)
+    return select_by_threshold(records, threshold)
+
+
+def _cutoff(selection: SelectionResult) -> str:
+    return f"{selection.cutoff_score:.6g}" if selection.cutoff_score is not None else "-"
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
-    records = read_score_file(args.scores)
-    if args.top_n is not None:
-        selection = select_top_n(records, args.top_n)
-    else:
-        selection = select_by_threshold(records, args.threshold)
+    selection = _select(args.scores, args.top_n, args.threshold)
     paths = _corpus_paths(args)
     session = _AtomicSession()
     if args.format == "tsv":
@@ -255,10 +264,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     session.commit()
     log.info(
         "selected %d of %d pairs (cutoff %s) -> %s.*",
-        n,
-        selection.n_scored,
-        f"{selection.cutoff_score:.6g}" if selection.cutoff_score is not None else "-",
-        args.out_prefix,
+        n, selection.n_scored, _cutoff(selection), args.out_prefix,
     )
     return 0
 
@@ -369,26 +375,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # pipeline
 # --------------------------------------------------------------------------
 
-_PIPELINE_DEFAULTS = {
-    "seed": "0",
-    "sample_size": "100000",
-    "lm_order": str(DEFAULT_ORDER),
-    "lm_add_k": str(DEFAULT_ADD_K),
-    "lm_min_count": str(DEFAULT_MIN_COUNT),
-    "tm_iterations": str(DEFAULT_ITERATIONS),
-    "tm_null": "true",
-    "lowercase": "false",
-    "max_tokens": str(DEFAULT_MAX_TOKENS),
-    "workers": "",  # resolved to available parallelism
-    "log_level": "info",
-}
-
-_PIPELINE_KEYS = {
-    "candidate_tsv", "candidate_src", "candidate_tgt",
-    "trusted_tsv", "trusted_src", "trusted_tgt",
-    "out_prefix", "top_n", "threshold", *_PIPELINE_DEFAULTS,
-}
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -407,88 +393,68 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PipelineConfig:
-    """Resolved description of one train -> score -> select -> weights run."""
+    """Resolved description of one train -> score -> select -> weights run.
 
-    candidate_tsv: str | None
-    candidate_src: str | None
-    candidate_tgt: str | None
-    trusted_tsv: str | None
-    trusted_src: str | None
-    trusted_tgt: str | None
+    The fields are the config keys, each with its default; their order is
+    the line order of ``resolved.cfg``.
+    """
+
+    LOG_LEVELS: ClassVar[tuple[str, ...]] = ("debug", "info", "warning", "error")
+
+    candidate_tsv: str | None = None
+    candidate_src: str | None = None
+    candidate_tgt: str | None = None
+    trusted_tsv: str | None = None
+    trusted_src: str | None = None
+    trusted_tgt: str | None = None
     out_prefix: str
-    top_n: int | None
-    threshold: float | None
-    seed: int
-    sample_size: int
-    lm_order: int
-    lm_add_k: float
-    lm_min_count: int
-    tm_iterations: int
-    tm_null: bool
-    lowercase: bool
-    max_tokens: int
-    workers: int
-    log_level: str
+    top_n: int | None = None
+    threshold: float | None = None
+    seed: int = 0
+    sample_size: int = 100000
+    lm_order: int = DEFAULT_ORDER
+    lm_add_k: float = DEFAULT_ADD_K
+    lm_min_count: int = DEFAULT_MIN_COUNT
+    tm_iterations: int = DEFAULT_ITERATIONS
+    tm_null: bool = True
+    lowercase: bool = False
+    max_tokens: int = DEFAULT_MAX_TOKENS
+    workers: int = field(default_factory=_default_workers)
+    log_level: str = "info"
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "PipelineConfig":
-        unknown = set(raw) - _PIPELINE_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {**_PIPELINE_DEFAULTS, **raw}
-
-        def get_bool(key: str) -> bool:
-            value = merged[key].lower()
-            if value not in ("true", "false"):
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
-            return value == "true"
-
-        if "out_prefix" not in merged:
+        if "out_prefix" not in raw:
             raise ConfigError("config needs out_prefix")
-        has_top_n = "top_n" in merged
-        has_threshold = "threshold" in merged
-        if has_top_n == has_threshold:
+        if ("top_n" in raw) == ("threshold" in raw):
             raise ConfigError("config needs exactly one of top_n or threshold")
-        candidate_tsv = merged.get("candidate_tsv")
-        if candidate_tsv is None and not (
-            merged.get("candidate_src") and merged.get("candidate_tgt")
-        ):
-            raise ConfigError(
-                "config needs candidate_tsv or candidate_src + candidate_tgt"
-            )
-        trusted_tsv = merged.get("trusted_tsv")
-        if trusted_tsv is None and not (
-            merged.get("trusted_src") and merged.get("trusted_tgt")
-        ):
-            raise ConfigError("config needs trusted_tsv or trusted_src + trusted_tgt")
-        try:
-            workers = int(merged["workers"]) if merged["workers"] else _default_workers()
-            config = cls(
-                candidate_tsv=candidate_tsv,
-                candidate_src=merged.get("candidate_src"),
-                candidate_tgt=merged.get("candidate_tgt"),
-                trusted_tsv=trusted_tsv,
-                trusted_src=merged.get("trusted_src"),
-                trusted_tgt=merged.get("trusted_tgt"),
-                out_prefix=merged["out_prefix"],
-                top_n=int(merged["top_n"]) if has_top_n else None,
-                threshold=float(merged["threshold"]) if has_threshold else None,
-                seed=int(merged["seed"]),
-                sample_size=int(merged["sample_size"]),
-                lm_order=int(merged["lm_order"]),
-                lm_add_k=float(merged["lm_add_k"]),
-                lm_min_count=int(merged["lm_min_count"]),
-                tm_iterations=int(merged["tm_iterations"]),
-                tm_null=get_bool("tm_null"),
-                lowercase=get_bool("lowercase"),
-                max_tokens=int(merged["max_tokens"]),
-                workers=workers,
-                log_level=merged["log_level"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        for side in ("candidate", "trusted"):
+            given = [part for part in ("tsv", "src", "tgt") if raw.get(f"{side}_{part}")]
+            if given not in (["tsv"], ["src", "tgt"]):
+                raise ConfigError(
+                    f"config needs exactly one of {side}_tsv or {side}_src + {side}_tgt"
+                )
+        parsers = {
+            "int": int,
+            "float": float,
+            "str": str,
+            "bool": lambda text: {"true": True, "false": False}[text.lower()],
+        }
+        values = {}
+        for f in fields(cls):
+            text = raw.get(f.name)
+            if text is None or (f.name == "workers" and not text):
+                continue  # the field's default; an empty workers means the CPU count
+            try:  # f.type is the annotation's text, such as 'int | None'
+                values[f.name] = parsers[f.type.removesuffix(" | None")](text)
+            except (KeyError, ValueError):
+                raise ConfigError(f"bad config value for {f.name}: {text!r}") from None
+        config = cls(**values)
         for key, low in (("workers", 1), ("top_n", 0), ("sample_size", 0), ("max_tokens", 1),
                          ("lm_order", 1), ("tm_iterations", 1)):
             value = getattr(config, key)
@@ -498,45 +464,29 @@ class PipelineConfig:
             raise ConfigError(f"lm_add_k must be finite and > 0, got {config.lm_add_k}")
         if config.threshold is not None and not 0.0 <= config.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {config.threshold}")
+        if config.log_level.lower() not in cls.LOG_LEVELS:
+            raise ConfigError(
+                f"log_level must be one of {', '.join(cls.LOG_LEVELS)}, got {config.log_level!r}"
+            )
         return config
 
     def to_text(self) -> str:
         lines = []
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is None:
                 continue
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            lines.append(f"{field.name} = {value}")
+            lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
-    def candidate_paths(self) -> dict:
-        return {
-            "path": self.candidate_tsv,
-            "src_path": self.candidate_src,
-            "tgt_path": self.candidate_tgt,
-        }
-
-    def trusted_kwargs(self) -> dict:
-        return {
-            "path": self.trusted_tsv,
-            "src_path": self.trusted_src,
-            "tgt_path": self.trusted_tgt,
-            "lowercase": self.lowercase,
-            "provenance": Provenance.TRUSTED,
-        }
-
-
-def _train_tm(
-    trusted_sample: list[SentencePair], direction: Direction, config: PipelineConfig
-) -> tuple[LexicalTranslationModel, EmTrace]:
-    return train_model1(
-        trusted_sample,
-        iterations=config.tm_iterations,
-        use_null=config.tm_null,
-        direction=direction,
-    )
+    def paths(self, side: str) -> dict[str, str]:
+        """The corpus reader's path arguments for side 'candidate' or 'trusted'."""
+        tsv = getattr(self, f"{side}_tsv")
+        if tsv is not None:
+            return {"path": tsv}
+        return {"src_path": getattr(self, f"{side}_src"), "tgt_path": getattr(self, f"{side}_tgt")}
 
 
 def _log_trace(direction: Direction, trace: EmTrace) -> None:
@@ -546,9 +496,9 @@ def _log_trace(direction: Direction, trace: EmTrace) -> None:
     )
 
 
-def run_pipeline(config: PipelineConfig) -> dict[str, str]:
+def run_pipeline(config: PipelineConfig) -> None:
     """Train both translation models and both LMs, then score, select, and
-    weight the candidate corpus. Returns the map of written artifacts.
+    weight the candidate corpus.
 
     With ``workers`` >= 2 the reverse translation model trains in a forked
     child while this process trains everything else, and the trusted sample
@@ -556,33 +506,42 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     artifacts are the same bytes for any ``workers``.
     """
     prefix = config.out_prefix
+    candidate = config.paths("candidate")
     session = _AtomicSession()
-    artifacts = {}
 
-    # A missing candidate file fails here, not after the models are trained.
-    for path in (config.candidate_tsv, config.candidate_src, config.candidate_tgt):
-        if path is not None:
-            open(path, "rb").close()
-    log.info("pipeline: sampling %d trusted pairs", config.sample_size)
-    trusted_sample = sample(
-        open_corpus(**config.trusted_kwargs()), config.sample_size, config.seed
-    )
-    log.info("pipeline: training translation models (%d pairs)", len(trusted_sample))
-    with forked_map(
-        lambda pairs: _train_tm(pairs, Direction.REVERSE, config),
-        [trusted_sample],
-        config.workers,
-        lambda _: "reverse translation-model training",
-    ) as reverse_tm:
-        fwd_tm, fwd_trace = _train_tm(trusted_sample, Direction.FORWARD, config)
-        _log_trace(Direction.FORWARD, fwd_trace)
-        log.info("pipeline: training in-domain language model")
-        in_lm = train_ngram(
-            [p.tgt for p in trusted_sample],
+    def train_tm(pairs, direction):
+        return train_model1(
+            pairs, iterations=config.tm_iterations, use_null=config.tm_null, direction=direction
+        )
+
+    def train_lm(sentences):
+        return train_ngram(
+            sentences,
             order=config.lm_order,
             k=config.lm_add_k,
             vocab_min_count=config.lm_min_count,
         )
+
+    # A missing candidate file fails here, not after the models are trained.
+    for path in candidate.values():
+        open(path, "rb").close()
+    log.info("pipeline: sampling %d trusted pairs", config.sample_size)
+    trusted_sample = sample(
+        open_corpus(**config.paths("trusted"), lowercase=config.lowercase),
+        config.sample_size,
+        config.seed,
+    )
+    log.info("pipeline: training translation models (%d pairs)", len(trusted_sample))
+    with forked_map(
+        lambda pairs: train_tm(pairs, Direction.REVERSE),
+        [trusted_sample],
+        config.workers,
+        lambda _: "reverse translation-model training",
+    ) as reverse_tm:
+        fwd_tm, fwd_trace = train_tm(trusted_sample, Direction.FORWARD)
+        _log_trace(Direction.FORWARD, fwd_trace)
+        log.info("pipeline: training in-domain language model")
+        in_lm = train_lm([p.tgt for p in trusted_sample])
         # The child holds its own copy; with one worker the reverse call
         # still holds the sample until it runs.
         del trusted_sample
@@ -590,36 +549,26 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         candidate_targets = [
             p.tgt
             for p in sample(
-                open_corpus(**config.candidate_paths(), lowercase=config.lowercase),
+                open_corpus(**candidate, lowercase=config.lowercase),
                 config.sample_size,
                 config.seed + 1,
             )
         ]
-        out_lm = train_ngram(
-            candidate_targets,
-            order=config.lm_order,
-            k=config.lm_add_k,
-            vocab_min_count=config.lm_min_count,
-        )
+        out_lm = train_lm(candidate_targets)
         # Freed before the reverse table arrives, which needs room of its own.
         del candidate_targets
         rev_tm, rev_trace = next(reverse_tm)
         _log_trace(Direction.REVERSE, rev_trace)
 
-    for name, saver in (
-        ("fwd.tm", lambda p: save_tm(fwd_tm, p)),
-        ("rev.tm", lambda p: save_tm(rev_tm, p)),
-        ("in.lm", lambda p: save_lm(in_lm, p)),
-        ("out.lm", lambda p: save_lm(out_lm, p)),
-    ):
-        final = f"{prefix}.{name}"
-        saver(session.path(final))
-        artifacts[name] = final
+    save_tm(fwd_tm, session.path(f"{prefix}.fwd.tm"))
+    save_tm(rev_tm, session.path(f"{prefix}.rev.tm"))
+    save_lm(in_lm, session.path(f"{prefix}.in.lm"))
+    save_lm(out_lm, session.path(f"{prefix}.out.lm"))
 
     log.info("pipeline: scoring candidate corpus with %d workers", config.workers)
-    scores_partial = session.path(f"{prefix}.scores.tsv")
+    scores = session.path(f"{prefix}.scores.tsv")
     n_scored = score_corpus_to_file(
-        scores_partial,
+        scores,
         Model1Scorer(fwd_tm),
         Model1Scorer(rev_tm),
         LmScorer(in_lm),
@@ -627,43 +576,31 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         lowercase=config.lowercase,
         max_tokens=config.max_tokens,
         workers=config.workers,
-        **config.candidate_paths(),
+        **candidate,
     )
-    artifacts["scores.tsv"] = f"{prefix}.scores.tsv"
 
     log.info("pipeline: selecting and weighting %d scored pairs", n_scored)
-    records = read_score_file(scores_partial)
-    if config.top_n is not None:
-        selection = select_top_n(records, config.top_n)
-    else:
-        selection = select_by_threshold(records, config.threshold)
+    selection = _select(scores, config.top_n, config.threshold)
     extract_selected(
-        read_rows(**config.candidate_paths()),
+        read_rows(**candidate),
         selection,
         src_path=session.path(f"{prefix}.selected.src"),
         tgt_path=session.path(f"{prefix}.selected.tgt"),
     )
-    artifacts["selected.src"] = f"{prefix}.selected.src"
-    artifacts["selected.tgt"] = f"{prefix}.selected.tgt"
-
-    emit_weights(read_score_file(scores_partial), session.path(f"{prefix}.weights.txt"))
-    artifacts["weights.txt"] = f"{prefix}.weights.txt"
-
+    emit_weights(read_score_file(scores), session.path(f"{prefix}.weights.txt"))
     with open(session.path(f"{prefix}.resolved.cfg"), "w", encoding="utf-8") as fh:
         fh.write(config.to_text())
-    artifacts["resolved.cfg"] = f"{prefix}.resolved.cfg"
 
     session.commit()
     log.info(
-        "pipeline: done; selected %d pairs (cutoff %s)",
-        selection.n_returned,
-        f"{selection.cutoff_score:.6g}" if selection.cutoff_score is not None else "-",
+        "pipeline: done; selected %d pairs (cutoff %s)", selection.n_returned, _cutoff(selection)
     )
-    return artifacts
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = PipelineConfig.from_mapping(parse_config_file(args.config))
+    # The config's log_level, when given, overrides --log-level.
+    raw = {"log_level": args.log_level, **parse_config_file(args.config)}
+    config = PipelineConfig.from_mapping(raw)
     logging.getLogger().setLevel(config.log_level.upper())
     run_pipeline(config)
     return 0
@@ -683,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--log-level",
         default="info",
-        choices=("debug", "info", "warning", "error"),
+        choices=PipelineConfig.LOG_LEVELS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
+from .model_file import invalid_utf8
 from .scoring import ScoreRecord
 
 DEFAULT_NOISE_RATE = 0.2
@@ -181,29 +182,39 @@ def write_labels(labels: Iterable[PairLabel], path: str | Path) -> int:
 
 
 def read_labels(path: str | Path) -> list[PairLabel]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise invalid_utf8(path, StructuralError) from None
     labels = []
+    line_of_id: dict[int, int] = {}
     kinds = {kind.value: kind for kind in NoiseKind}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
+            raise StructuralError(
+                f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
+            )
+        try:
+            pair_id = int(parts[0])
+        except ValueError:
+            raise StructuralError(
+                f"{path}: line {line_no}: non-integer id {parts[0]!r}"
+            ) from None
+        if pair_id in line_of_id:
+            raise StructuralError(
+                f"{path}: line {line_no}: id {pair_id} repeats line {line_of_id[pair_id]}"
+            )
+        line_of_id[pair_id] = line_no
+        kind = None
+        if parts[2] != "-":
+            if parts[2] not in kinds:
                 raise StructuralError(
-                    f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
+                    f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
                 )
-            try:
-                pair_id = int(parts[0])
-            except ValueError:
-                raise StructuralError(
-                    f"{path}: line {line_no}: non-integer id {parts[0]!r}"
-                ) from None
-            kind = None
-            if parts[2] != "-":
-                if parts[2] not in kinds:
-                    raise StructuralError(
-                        f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
-                    )
-                kind = kinds[parts[2]]
-            labels.append(PairLabel(pair_id=pair_id, clean=parts[1] == "clean", kind=kind))
+            kind = kinds[parts[2]]
+        labels.append(PairLabel(pair_id=pair_id, clean=parts[1] == "clean", kind=kind))
     return labels
 
 

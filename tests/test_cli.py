@@ -1,6 +1,7 @@
 import ast
 import faulthandler
 import json
+import logging
 import math
 import os
 import pickle
@@ -396,6 +397,38 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
     assert int(report["n_corrupted"]) == 30
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        pytest.param(
+            b"0\tclean\t-\n1\tcorrupted\tshuffle\n\xff2\tclean\t-\n",
+            "line 3: invalid UTF-8",
+            id="invalid-utf8",
+        ),
+        pytest.param(
+            b"0\tclean\t-\n1\tcorrupted\tshuffle\n1\tclean\t-\n",
+            "line 3: id 1 repeats line 2",
+            id="repeated-id",
+        ),
+    ],
+)
+def test_evaluate_names_the_bad_line_of_a_label_file(tmp_path, caplog, labels, message):
+    """A score file that repeats id 1 as the labels do is still rejected."""
+    records = [
+        ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
+                    adq=1.0, dom=1.0, combined=c)
+        for i, c in ((0, 0.9), (1, 0.5), (1, 0.1))
+    ]
+    scores, path = tmp_path / "s.tsv", tmp_path / "labels.tsv"
+    write_score_file(records, scores)
+    path.write_bytes(labels)
+    assert run_cli("evaluate", "--scores", scores, "--labels", path,
+                   "--report", tmp_path / "report.tsv") == 1
+    (record,) = caplog.records
+    assert record.message == f"{path}: {message}"
+    assert not (tmp_path / "report.tsv").exists()
+
+
 def test_corrupt_mix_without_third_language_fails(workdir, tmp_path):
     code = run_cli(
         "corrupt", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
@@ -604,6 +637,123 @@ def test_pipeline_config_parsing_and_validation(tmp_path):
             {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o",
              "top_n": "1", "bogus": "x"}
         )
+
+
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        pytest.param(
+            {"candidate_src": "crawl.src", "candidate_tgt": "crawl.tgt",
+             "trusted_src": "clean.src", "trusted_tgt": "clean.tgt",
+             "out_prefix": "runs/filter1", "threshold": "0.25", "seed": "7",
+             "sample_size": "5000", "lm_order": "2", "lm_add_k": "0.5", "lm_min_count": "1",
+             "tm_iterations": "4", "tm_null": "False", "lowercase": "TRUE",
+             "max_tokens": "80", "workers": "3", "log_level": "warning"},
+            "candidate_src = crawl.src\ncandidate_tgt = crawl.tgt\n"
+            "trusted_src = clean.src\ntrusted_tgt = clean.tgt\nout_prefix = runs/filter1\n"
+            "threshold = 0.25\nseed = 7\nsample_size = 5000\nlm_order = 2\nlm_add_k = 0.5\n"
+            "lm_min_count = 1\ntm_iterations = 4\ntm_null = false\nlowercase = true\n"
+            "max_tokens = 80\nworkers = 3\nlog_level = warning\n",
+            id="every-key",
+        ),
+        pytest.param(
+            {"candidate_tsv": "c.tsv", "trusted_tsv": "t.tsv", "out_prefix": "o", "top_n": "5"},
+            "candidate_tsv = c.tsv\ntrusted_tsv = t.tsv\nout_prefix = o\ntop_n = 5\nseed = 0\n"
+            "sample_size = 100000\nlm_order = 3\nlm_add_k = 0.1\nlm_min_count = 2\n"
+            "tm_iterations = 5\ntm_null = true\nlowercase = false\nmax_tokens = 250\n"
+            "workers = 2\nlog_level = info\n",
+            id="minimal",
+        ),
+    ],
+)
+def test_resolved_config_text_is_pinned(monkeypatch, raw, text):
+    """The text of resolved.cfg, in field order: a config that sets every key
+    one config can hold together, and the defaults of a minimal one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert PipelineConfig.from_mapping(raw).to_text() == text
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("workers", "x", id="int"),
+        pytest.param("lm_add_k", "0.1.2", id="float"),
+        pytest.param("tm_null", "yes", id="bool"),
+    ],
+)
+def test_pipeline_config_names_the_key_of_a_bad_value(key, value):
+    raw = {"candidate_tsv": "c", "trusted_tsv": "t", "out_prefix": "o", "top_n": "5", key: value}
+    message = f"bad config value for {key}: {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_mapping(raw)
+
+
+@pytest.mark.parametrize("side", ["candidate", "trusted"])
+def test_pipeline_config_rejects_a_side_given_in_both_forms(
+    workdir, tmp_path, caplog, monkeypatch, side
+):
+    """A side given both as a TSV and as twin files fails when the config is
+    read, naming the keys, before any sampling or training."""
+    calls = []
+    monkeypatch.setattr(cli, "sample", lambda *args: calls.append("sample"))
+    monkeypatch.setattr(cli, "train_model1", lambda *args, **kwargs: calls.append("train"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"candidate_src = {workdir / 'cand.src'}\n"
+        f"candidate_tgt = {workdir / 'cand.tgt'}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"{side}_tsv = {workdir / 'cand.src'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\ntop_n = 5\n",
+        encoding="utf-8",
+    )
+    message = f"config needs exactly one of {side}_tsv or {side}_src + {side}_tgt"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_mapping(parse_config_file(cfg))
+    assert run_cli("pipeline", "--config", cfg) == 1
+    (record,) = caplog.records
+    assert record.message == message
+    assert calls == []
+    assert not list(tmp_path.glob("pipe.*"))
+
+
+def test_log_level_flag_reaches_a_pipeline_whose_config_sets_no_log_level(
+    workdir, tmp_path, caplog
+):
+    """--log-level is the default of the config's log_level; a config that
+    sets the key still wins."""
+    caplog.set_level(logging.DEBUG)  # restored after the test
+    cfg = tmp_path / "run.cfg"
+    text = (
+        f"candidate_src = {workdir / 'cand.src'}\n"
+        f"candidate_tgt = {workdir / 'cand.tgt'}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\n"
+        "top_n = 5\nseed = 4\nsample_size = 100\nlm_order = 2\nworkers = 1\n"
+    )
+    cfg.write_text(text, encoding="utf-8")
+    resolved = tmp_path / "pipe.resolved.cfg"
+    assert main(["--log-level", "error", "pipeline", "--config", str(cfg)]) == 0
+    assert caplog.records == []
+    assert "log_level = error\n" in resolved.read_text(encoding="utf-8")
+
+    cfg.write_text(text + "log_level = info\n", encoding="utf-8")
+    assert main(["--log-level", "error", "pipeline", "--config", str(cfg)]) == 0
+    assert any(r.levelno == logging.INFO for r in caplog.records)
+    assert "log_level = info\n" in resolved.read_text(encoding="utf-8")
+
+
+def test_pipeline_config_rejects_an_unknown_log_level(tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "candidate_tsv = c.tsv\ntrusted_tsv = t.tsv\nout_prefix = o\ntop_n = 5\n"
+        "log_level = loud\n",
+        encoding="utf-8",
+    )
+    assert run_cli("pipeline", "--config", cfg) == 1
+    (record,) = caplog.records
+    assert record.message == "log_level must be one of debug, info, warning, error, got 'loud'"
 
 
 def test_pipeline_end_to_end_and_reruns_identically(workdir, tmp_path):
