@@ -47,7 +47,7 @@ from .ngram_lm import (
     save_lm,
     train_ngram,
 )
-from .model_file import invalid_utf8, read_magic
+from .model_file import numbered_lines, read_magic
 from .noise import (
     DEFAULT_NOISE_RATE,
     NoiseKind,
@@ -378,18 +378,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                key, eq, value = stripped.partition("=")
-                if not eq:
-                    raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-                values[key.strip()] = value.strip()
-    except UnicodeDecodeError:
-        raise invalid_utf8(path, ConfigError) from None
+    with numbered_lines(path, ConfigError) as lines:
+        for line_no, line in lines:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            key, eq, value = stripped.partition("=")
+            if not eq:
+                raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
+            values[key.strip()] = value.strip()
     return values
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ModelFormatError,
     TrainingError,
 )
-from .model_file import ModelFile, first_line, invalid_utf8
+from .model_file import ModelFile, first_line, numbered_lines
 
 # The empty string can never collide with a real token (tokens are maximal
 # non-whitespace runs), so it doubles as the NULL word key.
@@ -221,34 +221,35 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
     may appear once; anything else raises :class:`ModelFormatError` naming
     the file and line.
     """
-    model = ModelFile(path, TM_MAGIC, _VERSION)
-    direction = model.header(1, "direction", Direction)
-    use_null = bool(model.header(2, "null", ("0", "1").index))  # ValueError otherwise
-    n_rows = model.count(3, "rows")
-    rows = model.section(4, n_rows, "row")
-    table: dict[str, dict[str, float]] = {}
-    gen, column = None, {}
-    # One string object per word, however many rows name it.
-    intern = sys.intern
-    for line in rows:
-        try:
-            cond, row_gen, prob_text = line.split("\t")
-            prob = float(prob_text)
-        except ValueError:
-            prob = math.nan  # rejected with the row just below
-        if not 0.0 <= prob <= 1.0:  # also false for nan
-            why = f"expected 'cond\\tgen\\tprob' with prob in [0, 1], got {line!r}"
-            raise model.row_error(4, line, why)
-        if row_gen != gen:
-            gen = intern(row_gen)
-            column = table.get(gen)
-            if column is None:
-                column = table[gen] = {}
-        column[intern(cond)] = prob
-    if sum(map(len, table.values())) != n_rows:
-        keys = (line.rpartition("\t")[0] for line in rows)
-        raise model.repeat_error(4, keys, "(cond, gen) pair")
-    model.check_end(4 + n_rows, "row")
+    with numbered_lines(path, ModelFormatError) as lines:
+        model = ModelFile(path, lines, TM_MAGIC, _VERSION)
+        direction = model.header("direction", Direction)
+        use_null = bool(model.header("null", ("0", "1").index))  # ValueError otherwise
+        n_rows = model.count("rows")
+        table: dict[str, dict[str, float]] = {}
+        gen, column = None, {}
+        # One string object per word, however many rows name it.
+        intern = sys.intern
+        for line_no, line in model.rows(n_rows):
+            try:
+                cond, row_gen, prob_text = line.split("\t")
+                prob = float(prob_text)
+            except ValueError:
+                prob = math.nan  # rejected with the row just below
+            if not 0.0 <= prob <= 1.0:  # also false for nan
+                got = line.rstrip("\n")
+                why = f"expected 'cond\\tgen\\tprob' with prob in [0, 1], got {got!r}"
+                raise model.error(line_no, why)
+            if row_gen != gen:
+                gen = intern(row_gen)
+                column = table.get(gen)
+                if column is None:
+                    column = table[gen] = {}
+            column[intern(cond)] = prob
+        if sum(map(len, table.values())) != n_rows:
+            key_of = lambda row: row.rpartition("\t")[0]
+            raise model.section_error(key_of, "(cond, gen) pair", "row")
+        model.check_end("row")
 
     return LexicalTranslationModel(table=table, use_null=use_null, direction=direction)
 
@@ -327,48 +328,45 @@ def _read_any_order(path: str | Path) -> array:
     raises ExternalScoreError naming the file and, where there is one, the
     line."""
     entries: dict[int, float] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
-                    )
-                # ASCII digits only: int() would also take a sign, spaces,
-                # underscores and the digits of other scripts.
-                id_text = parts[0]
-                digits = id_text.removeprefix("-")
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: non-integer id {id_text!r}"
-                    )
-                if digits != id_text:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: negative id {id_text!r}"
-                    )
-                pair_id = int(id_text)
-                try:
-                    value = float(parts[1])
-                except ValueError:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
-                    ) from None
-                # Cross-entropies are >= 0; nan fails this test too.
-                if not 0.0 <= value < math.inf:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: score {parts[1]!r} is not finite and >= 0"
-                    )
-                if pair_id in entries:
-                    raise ExternalScoreError(
-                        f"{path}: line {line_no}: duplicate id {pair_id}"
-                    )
-                entries[pair_id] = value
-    except UnicodeDecodeError:
-        raise invalid_utf8(path, ExternalScoreError) from None
+    with numbered_lines(path, ExternalScoreError) as lines:
+        for line_no, line in lines:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
+                )
+            # ASCII digits only: int() would also take a sign, spaces,
+            # underscores and the digits of other scripts.
+            id_text = parts[0]
+            digits = id_text.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: non-integer id {id_text!r}"
+                )
+            if digits != id_text:
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: negative id {id_text!r}"
+                )
+            pair_id = int(id_text)
+            try:
+                value = float(parts[1])
+            except ValueError:
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
+                ) from None
+            # Cross-entropies are >= 0; nan fails this test too.
+            if not 0.0 <= value < math.inf:
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: score {parts[1]!r} is not finite and >= 0"
+                )
+            if pair_id in entries:
+                raise ExternalScoreError(
+                    f"{path}: line {line_no}: duplicate id {pair_id}"
+                )
+            entries[pair_id] = value
     if not entries:
         raise ExternalScoreError(f"{path}: empty score table")
     missing = next((i for i in range(len(entries)) if i not in entries), None)

@@ -5,13 +5,18 @@ header gives. Every error names the file and, where there is one, the line.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+import sys
+from collections.abc import Callable, Hashable, Iterator
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import TypeVar
 
 from .errors import IncompatibleModelError, ModelFormatError, PairsieveError
 
 T = TypeVar("T")
+
+NumberedLines = Iterator[tuple[int, str]]
 
 
 def first_line(magic: str, version: int) -> str:
@@ -27,91 +32,96 @@ def read_magic(path: str | Path) -> str:
     return head.split(b"\t", 1)[0].decode("utf-8", "replace")
 
 
-def invalid_utf8(path: str | Path, error: type[PairsieveError]) -> PairsieveError:
-    """The error for a text file at ``path`` that failed to decode, naming its
-    first line that is not UTF-8; the file is read again only on failure."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+@contextmanager
+def numbered_lines(path: str | Path, error: type[PairsieveError]) -> Iterator[NumberedLines]:
+    """``enumerate(fh, 1)`` over the UTF-8 text file at ``path``, each line
+    with its newline. Text that is not UTF-8 raises ``error`` naming its first
+    bad line, found by reading the file again as bytes."""
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        return error(f"{path}: line {line_no}: invalid UTF-8")
-    return error(f"{path}: invalid UTF-8")  # the file changed since it failed
+        with open(path, "r", encoding="utf-8") as fh:
+            yield enumerate(fh, 1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}: line {line_no}: invalid UTF-8") from None
+        raise error(f"{path}: invalid UTF-8") from None  # the file changed since it failed
 
 
 class ModelFile:
-    """The lines of one model file whose first line names the expected format.
+    """A forward reader over the numbered lines of one model file, whose
+    first line names the expected format; no line is kept once it is read.
+    A loader checks each row as it comes, and names the row's own line."""
 
-    Line indices are 0-based; every message gives the 1-based line number.
-    """
-
-    def __init__(self, path: str | Path, magic: str, version: int):
+    def __init__(self, path: str | Path, lines: NumberedLines, magic: str, version: int):
         self.path = path
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
-        except UnicodeDecodeError:
-            raise invalid_utf8(path, ModelFormatError) from None
-        if lines[-1] == "":
-            lines.pop()
-        self.lines = lines
-        if not lines:
-            raise self.error(0, "empty model file")
+        self._lines = lines
+        # The number of the last line read, or of the last section's last line.
+        self.line_no, line = next(lines, (1, None))
+        if line is None:
+            raise self.error(1, "empty model file")
         expected = first_line(magic, version)
-        if lines[0] != expected:
+        line = line.rstrip("\n")
+        if line != expected:
             raise IncompatibleModelError(
-                f"{path}: line 1: expected header {expected!r}, got {lines[0]!r}"
+                f"{path}: line 1: expected header {expected!r}, got {line!r}"
             )
 
-    def error(self, index: int, why: str) -> ModelFormatError:
-        return ModelFormatError(f"{self.path}: line {index + 1}: {why}")
+    def error(self, line_no: int, why: str) -> ModelFormatError:
+        return ModelFormatError(f"{self.path}: line {line_no}: {why}")
 
-    def header(self, index: int, key: str, parse: Callable[[str], T]) -> T:
-        """The value of the ``key<TAB>value`` line at ``index``, converted by
-        ``parse``; a ValueError from ``parse`` fails the load."""
-        if index >= len(self.lines):
-            raise self.error(index, f"missing '{key}' header")
-        line = self.lines[index]
+    def header(self, key: str, parse: Callable[[str], T]) -> T:
+        """The value of the next line, which must be ``key<TAB>value``,
+        converted by ``parse``; a ValueError from ``parse`` fails the load."""
+        self.line_no, line = next(self._lines, (self.line_no + 1, None))
+        if line is None:
+            raise self.error(self.line_no, f"missing '{key}' header")
+        line = line.rstrip("\n")
         parts = line.split("\t")
         if len(parts) != 2 or parts[0] != key:
-            raise self.error(index, f"expected '{key}' header, got {line!r}")
+            raise self.error(self.line_no, f"expected '{key}' header, got {line!r}")
         try:
             return parse(parts[1])
         except ValueError:
-            raise self.error(index, f"bad '{key}' header: {line!r}") from None
+            raise self.error(self.line_no, f"bad '{key}' header: {line!r}") from None
 
-    def count(self, index: int, key: str) -> int:
+    def count(self, key: str) -> int:
         """A header that gives a count, an integer >= 0."""
-        n = self.header(index, key, int)
+        n = self.header(key, int)
         if n < 0:
-            raise self.error(index, f"'{key}' must be >= 0, got {n}")
+            raise self.error(self.line_no, f"'{key}' must be >= 0, got {n}")
         return n
 
-    def section(self, start: int, n: int, name: str) -> list[str]:
-        """The ``n`` rows from ``start`` on, which the file must hold."""
-        if start + n > len(self.lines):
-            raise self.error(len(self.lines), f"truncated {name} section")
-        return self.lines[start:start + n]
+    def rows(self, n: int) -> NumberedLines:
+        """The next ``n`` numbered lines, each with its newline (which float()
+        and int() ignore), or fewer if the file ends first. A count beyond
+        ``sys.maxsize`` reads to the end. A loader that finds fewer distinct
+        keys than ``n`` in them raises :meth:`section_error`."""
+        self._section = (self.line_no + 1, n)
+        self.line_no += n
+        return islice(self._lines, min(n, sys.maxsize))
 
-    def check_end(self, end: int, name: str) -> None:
-        """Fail if anything follows the last section, which ends before ``end``."""
-        if end < len(self.lines):
-            raise self.error(end, f"trailing content after {name} section")
+    def check_end(self, name: str) -> None:
+        """Fail if any line follows the last section."""
+        line_no, line = next(self._lines, (None, None))
+        if line is not None:
+            raise self.error(line_no, f"trailing content after {name} section")
 
-    def row_error(self, start: int, row: str, why: str) -> ModelFormatError:
-        """The error for a rejected row. Row loops keep no line counter: the
-        first line from ``start`` on with its text is the bad one, because an
-        identical earlier row would have failed first."""
-        return self.error(self.lines.index(row, start), why)
-
-    def repeat_error(self, start: int, keys: Iterable[Hashable], what: str) -> ModelFormatError:
-        """The error for the first of ``keys``, one per row from ``start`` on,
-        that repeats an earlier one. Call it only once a loader has counted
-        fewer distinct keys than rows, so that a repeat exists."""
+    def section_error(self, key_of: Callable, what: str, name: str) -> ModelFormatError:
+        """The error for the section last read, whose rows hold fewer distinct
+        keys, each found by ``key_of`` from a row without its newline, than
+        its count header gives: the first row that repeats an earlier key, or
+        else the end of a file too short for the section. Only this failure
+        reads the file again."""
+        start, n = self._section
         seen: dict[Hashable, int] = {}
-        for index, key in enumerate(keys, start=start):
-            if key in seen:
-                break
-            seen[key] = index
-        return self.error(index, f"repeats the {what} of line {seen[key] + 1}")
+        with numbered_lines(self.path, ModelFormatError) as lines:
+            for line_no, line in islice(lines, start - 1, min(start - 1 + n, sys.maxsize)):
+                key = key_of(line.rstrip("\n"))
+                if key in seen:
+                    return self.error(line_no, f"repeats the {what} of line {seen[key]}")
+                seen[key] = line_no
+        return self.error(start + len(seen), f"truncated {name} section")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .corpus import Sentence
 from .errors import EmptySentenceError, ModelFormatError, TrainingError
-from .model_file import ModelFile, first_line
+from .model_file import ModelFile, first_line, numbered_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -192,45 +192,44 @@ def load_lm(path: str | Path) -> NgramLanguageModel:
     and every count >= 0; a violation raises :class:`ModelFormatError`
     naming the file and line.
     """
-    model = ModelFile(path, LM_MAGIC, _VERSION)
-    order = model.header(1, "order", int)
-    if order < 1:
-        raise model.error(1, f"order must be >= 1, got {order}")
-    k = model.header(2, "k", float)
-    if not 0.0 < k < math.inf:
-        raise model.error(2, f"add-k constant must be finite and > 0, got {k!r}")
-    vocab_size = model.count(3, "vocab")
-    if vocab_size < 1:
-        raise model.error(3, f"vocab must not be empty, got {vocab_size}")
-    # One string object per word, shared by the vocabulary and every n-gram.
-    intern = sys.intern
-    words = model.section(4, vocab_size, "vocab")
-    vocab = set(map(intern, words))
-    if len(vocab) != vocab_size:
-        raise model.repeat_error(4, words, "vocab entry")
+    with numbered_lines(path, ModelFormatError) as lines:
+        model = ModelFile(path, lines, LM_MAGIC, _VERSION)
+        order = model.header("order", int)
+        if order < 1:
+            raise model.error(model.line_no, f"order must be >= 1, got {order}")
+        k = model.header("k", float)
+        if not 0.0 < k < math.inf:
+            raise model.error(model.line_no, f"add-k constant must be finite and > 0, got {k!r}")
+        vocab_size = model.count("vocab")
+        if vocab_size < 1:
+            raise model.error(model.line_no, f"vocab must not be empty, got {vocab_size}")
+        # One string object per word, shared by the vocabulary and every n-gram.
+        intern = sys.intern
+        vocab = {intern(line.rstrip("\n")) for _, line in model.rows(vocab_size)}
+        if len(vocab) != vocab_size:
+            raise model.section_error(str, "vocab entry", "vocab")
 
-    ngram_start = 5 + vocab_size
-    n_ngrams = model.count(ngram_start - 1, "ngrams")
-    rows = model.section(ngram_start, n_ngrams, "n-gram")
-    ngram_counts: dict[tuple[str, ...], int] = {}
-    for line in rows:
-        try:
-            text, count_text = line.split("\t")
-            count = int(count_text)
-        except ValueError:
-            why = f"expected 'ngram\\tcount' with an integer count, got {line!r}"
-            raise model.row_error(ngram_start, line, why) from None
-        ngram = tuple(map(intern, text.split(" ")))
-        if count < 0:
-            raise model.row_error(ngram_start, line, f"negative count: {count_text!r}")
-        if len(ngram) != order:
-            why = f"n-gram arity {len(ngram)} != order {order}"
-            raise model.row_error(ngram_start, line, why)
-        ngram_counts[ngram] = count
-    if len(ngram_counts) != n_ngrams:
-        keys = (line.partition("\t")[0] for line in rows)
-        raise model.repeat_error(ngram_start, keys, "n-gram")
-    model.check_end(ngram_start + n_ngrams, "n-gram")
+        n_ngrams = model.count("ngrams")
+        ngram_counts: dict[tuple[str, ...], int] = {}
+        for line_no, line in model.rows(n_ngrams):
+            try:
+                text, count_text = line.split("\t")
+                count = int(count_text)
+            except ValueError:
+                got = line.rstrip("\n")
+                why = f"expected 'ngram\\tcount' with an integer count, got {got!r}"
+                raise model.error(line_no, why) from None
+            ngram = tuple(map(intern, text.split(" ")))
+            if count < 0:
+                raise model.error(line_no, "negative count: " + repr(count_text.rstrip("\n")))
+            if len(ngram) != order:
+                why = f"n-gram arity {len(ngram)} != order {order}"
+                raise model.error(line_no, why)
+            ngram_counts[ngram] = count
+        if len(ngram_counts) != n_ngrams:
+            key_of = lambda row: row.partition("\t")[0]
+            raise model.section_error(key_of, "n-gram", "n-gram")
+        model.check_end("n-gram")
 
     try:
         return NgramLanguageModel(order=order, k=k, vocab=vocab, ngram_counts=ngram_counts)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
-from .model_file import invalid_utf8
+from .model_file import numbered_lines
 from .scoring import ScoreRecord
 
 DEFAULT_NOISE_RATE = 0.2
@@ -182,15 +182,12 @@ def write_labels(labels: Iterable[PairLabel], path: str | Path) -> int:
 
 
 def read_labels(path: str | Path) -> list[PairLabel]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise invalid_utf8(path, StructuralError) from None
+    with numbered_lines(path, StructuralError) as numbered:
+        lines = list(numbered)
     labels = []
     line_of_id: dict[int, int] = {}
     kinds = {kind.value: kind for kind in NoiseKind}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in lines:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
             raise StructuralError(

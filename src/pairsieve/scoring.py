@@ -35,7 +35,7 @@ from .errors import (
 )
 from .forked import forked_map
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
-from .model_file import invalid_utf8
+from .model_file import numbered_lines
 from .ngram_lm import NgramLanguageModel, cross_entropy
 
 Scorer = Callable[[SentencePair], float]
@@ -291,15 +291,12 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
     """Stream records back from a score file written by score_corpus_to_file."""
     name = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != "\t".join(SCORE_HEADER):
-                raise ModelFormatError(f"{path}: line 1: bad or missing score header")
-            for line_no, line in enumerate(fh, start=2):
-                yield parse_record(line.rstrip("\n"), name, line_no)
-    except UnicodeDecodeError:
-        raise invalid_utf8(path, ModelFormatError) from None
+    with numbered_lines(path, ModelFormatError) as lines:
+        _, header = next(lines, (1, ""))
+        if header.rstrip("\n") != "\t".join(SCORE_HEADER):
+            raise ModelFormatError(f"{path}: line 1: bad or missing score header")
+        for line_no, line in lines:
+            yield parse_record(line.rstrip("\n"), name, line_no)
 
 
 # ---------------------------------------------------------------------------
