@@ -378,6 +378,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    line_of_key: dict[str, int] = {}
     with numbered_lines(path, ConfigError) as lines:
         for line_no, line in lines:
             stripped = line.strip()
@@ -386,7 +387,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             key, eq, value = stripped.partition("=")
             if not eq:
                 raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in line_of_key:
+                raise ConfigError(
+                    f"{path}: line {line_no}: key {key!r} repeats line {line_of_key[key]}"
+                )
+            line_of_key[key] = line_no
+            values[key] = value.strip()
     return values
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -253,6 +254,21 @@ def ranking_auc(scored: list[tuple[float, bool]]) -> float:
     return u / (n_clean * n_corrupted)
 
 
+def _id_mismatch(rec_ids: Counter[int], lab_ids: Counter[int]) -> str:
+    """Why the score file and the labels file do not hold the same ids, each
+    once: for each side, the least id it repeats and the least id it lacks."""
+    faults = []
+    for side, ids, other in (("score file", rec_ids, lab_ids), ("labels file", lab_ids, rec_ids)):
+        repeated = [pair_id for pair_id, n in ids.items() if n > 1]
+        if repeated:
+            faults.append(f"the {side} repeats id {min(repeated)}")
+        missing = other.keys() - ids.keys()
+        if missing:
+            more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+            faults.append(f"the {side} lacks id {min(missing)}{more}")
+    return "; ".join(faults)
+
+
 def evaluate_filter(
     records: Iterable[ScoreRecord], labels: Iterable[PairLabel]
 ) -> FilterReport:
@@ -260,13 +276,10 @@ def evaluate_filter(
     clean count, and mean combined score per corruption kind."""
     records = list(records)
     labels = list(labels)
-    rec_ids = [r.pair_id for r in records]
-    lab_ids = [l.pair_id for l in labels]
-    if sorted(rec_ids) != sorted(lab_ids):
-        extra = set(rec_ids) ^ set(lab_ids)
-        raise StructuralError(
-            f"score/label id mismatch; first differing ids: {sorted(extra)[:5]}"
-        )
+    rec_ids = Counter(r.pair_id for r in records)
+    lab_ids = Counter(l.pair_id for l in labels)
+    if rec_ids != lab_ids:
+        raise StructuralError(f"score/label id mismatch: {_id_mismatch(rec_ids, lab_ids)}")
     label_by_id = {l.pair_id: l for l in labels}
 
     scored = [(r.combined, label_by_id[r.pair_id].clean) for r in records]

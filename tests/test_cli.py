@@ -603,6 +603,20 @@ def test_pipeline_config_with_invalid_utf8_names_file_and_line(tmp_path, caplog)
     assert record.message == f"{cfg}: line 2: invalid UTF-8"
 
 
+def test_pipeline_config_rejects_a_repeated_key_naming_both_lines(tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "candidate_tsv = c.tsv\ntop_n = 5\n# a comment\n\n top_n=7\ntrusted_tsv = t.tsv\n",
+        encoding="utf-8",
+    )
+    message = f"{cfg}: line 5: key 'top_n' repeats line 2"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_file(cfg)
+    assert run_cli("pipeline", "--config", cfg) == 1
+    (record,) = caplog.records
+    assert record.message == message
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pairsieve", "--help"],
@@ -1020,6 +1034,18 @@ def test_the_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             )
     assert outside == set()
+
+
+def test_only_the_line_readers_name_unicode_decode_error():
+    """Every text file whose messages give line numbers is read through
+    model_file.numbered_lines; the corpus reader keeps its own binary reader,
+    whose messages give byte offsets."""
+    naming = set()
+    for path in sorted((REPO_ROOT / "src" / "pairsieve").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "UnicodeDecodeError":
+                naming.add(path.name)
+    assert naming == {"model_file.py", "corpus.py"}
 
 
 def fail_on_the_second_call(x):

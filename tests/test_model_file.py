@@ -1,6 +1,8 @@
 """Load errors of the two model-file loaders, and how they and the score-file
 reader behave on damaged files."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,25 @@ def test_a_negative_count_header_names_its_file_and_line(tmp_path, kind, edit, l
         load(path)
 
 
+@pytest.mark.parametrize(
+    "kind, edit, line_no, name",
+    [
+        ("tm", replace(3, "rows\t" + "9" * 30), 8, "row"),
+        ("lm", replace(3, "vocab\t" + "9" * 30), 11, "vocab"),
+        ("lm", replace(7, "ngrams\t" + "9" * 30), 11, "n-gram"),
+    ],
+    ids=["tm-rows", "lm-vocab", "lm-ngrams"],
+)
+def test_a_count_beyond_sys_maxsize_is_a_truncated_section(tmp_path, kind, edit, line_no, name):
+    """A count no file can meet fails as a short section at the end of the
+    file, like any other count the file does not meet."""
+    load, lines = LOADERS[kind]
+    path = write_model(tmp_path, kind, edit(list(lines)))
+    message = rf"^{path}: line {line_no}: truncated {name} section$"
+    with pytest.raises(ModelFormatError, match=message):
+        load(path)
+
+
 def test_every_header_must_carry_its_key(tmp_path):
     """A header is found by its key, not by its position alone."""
     path = write_model(tmp_path, "tm", replace(1, "dir\tfwd")(list(TM_LINES)))
@@ -280,3 +301,25 @@ def test_a_damaged_score_file_parses_or_raises_model_format_error(saved_scores, 
         list(read_score_file(path))
     except ModelFormatError:
         pass
+
+
+def test_loading_a_table_holds_little_more_than_the_table(tmp_path):
+    """A load reads the file forward and keeps no list of its lines, so its
+    traced peak stays within half again of the memory the loaded table keeps."""
+    gens, conds = 250, 200
+    rows = [
+        f"c{c}\tg{g}\t{(c + 1) / (conds * (conds + 1) / 2)!r}\n"
+        for g in range(gens)
+        for c in range(conds)
+    ]
+    path = tmp_path / "big.tm"
+    path.write_text(f"lexical-tm\t1\ndirection\tfwd\nnull\t0\nrows\t{len(rows)}\n" + "".join(rows))
+    del rows
+    tracemalloc.start()
+    try:
+        tm = load_tm(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, tm.table.values())) == gens * conds >= 50_000
+    assert peak < 1.5 * kept

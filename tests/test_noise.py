@@ -214,6 +214,27 @@ def test_evaluation_rejects_mismatched_ids():
         evaluate_filter(records, labels)
 
 
+@pytest.mark.parametrize(
+    "rec_ids, lab_ids, why",
+    [
+        ([0, 1, 1], [0, 1, 2], "the score file repeats id 1; the score file lacks id 2"),
+        ([0, 1, 2, 3], [0, 1], "the labels file lacks id 2 and 1 more"),
+        (
+            [0, 2],
+            [0, 1, 1],
+            "the score file lacks id 1; the labels file repeats id 1; the labels file lacks id 2",
+        ),
+    ],
+    ids=["score-file-repeats", "labels-lack", "both-sides"],
+)
+def test_evaluation_names_the_repeated_id_and_the_side_that_lacks_one(rec_ids, lab_ids, why):
+    records = [rec(i, 0.5) for i in rec_ids]
+    labels = [PairLabel(i, clean=i % 2 == 0, kind=NoiseKind.SHUFFLE) for i in lab_ids]
+    with pytest.raises(StructuralError) as info:
+        evaluate_filter(records, labels)
+    assert str(info.value) == f"score/label id mismatch: {why}"
+
+
 def test_report_has_per_kind_means():
     records = [rec(0, 0.9), rec(1, 0.2), rec(2, 0.4)]
     labels = [
