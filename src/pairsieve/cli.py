@@ -20,6 +20,7 @@ from typing import ClassVar
 from .corpus import (
     DEFAULT_MAX_TOKENS,
     Provenance,
+    corpus_offsets,
     open_corpus,
     read_mono,
     read_rows,
@@ -364,10 +365,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         bins[min(int(value * 20), 19)] += 1
     for i, count in enumerate(bins):
         out.write(f"hist\t{i / 20:.2f}\t{(i + 1) / 20:.2f}\t{count}\n")
-    ranked = sorted(combined, reverse=True)
     for fraction in (0.10, 0.25, 0.50, 0.75):
         keep = max(1, round(fraction * n))
-        out.write(f"retention\t{fraction:.2f}\t{ranked[keep - 1]:.6g}\n")
+        out.write(f"retention\t{fraction:.2f}\t{ordered[n - keep]:.6g}\n")
     return 0
 
 
@@ -526,9 +526,10 @@ def run_pipeline(config: PipelineConfig) -> None:
             vocab_min_count=config.lm_min_count,
         )
 
-    # A missing candidate file fails here, not after the models are trained.
-    for path in candidate.values():
-        open(path, "rb").close()
+    # A missing candidate file, or twin files of different lengths, fail
+    # here, not after the models are trained: one counting scan, which keeps
+    # no offset past pair 0's.
+    corpus_offsets(**candidate, every=sys.maxsize)
     log.info("pipeline: sampling %d trusted pairs", config.sample_size)
     trusted_sample = sample(
         open_corpus(**config.paths("trusted"), lowercase=config.lowercase),

@@ -21,6 +21,7 @@ from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
 from .model_file import numbered_lines
 from .scoring import ScoreRecord
+from .selection import select_top_n
 
 DEFAULT_NOISE_RATE = 0.2
 
@@ -287,11 +288,10 @@ def evaluate_filter(
     n_corrupted = len(scored) - n_clean
     auc = ranking_auc(scored)
 
-    k = n_clean
-    ranked = sorted(records, key=lambda r: (-r.combined, r.pair_id))
-    clean_in_top = sum(1 for r in ranked[:k] if label_by_id[r.pair_id].clean)
-    precision = clean_in_top / k if k else 0.0
-    recall = clean_in_top / n_clean if n_clean else 0.0
+    top = select_top_n(records, n_clean).selected_ids
+    clean_in_top = sum(1 for pair_id in top if label_by_id[pair_id].clean)
+    # With as many pairs taken as there are clean ones, precision is recall.
+    precision = recall = clean_in_top / n_clean if n_clean else 0.0
 
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}

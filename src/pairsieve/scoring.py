@@ -98,7 +98,6 @@ def make_record(
     h_in: float,
     h_out: float,
     trusted: bool = False,
-    flags: tuple[str, ...] = (),
 ) -> ScoreRecord:
     """Assemble one ScoreRecord from the four cross-entropies.
 
@@ -118,7 +117,6 @@ def make_record(
         dom=dom,
         combined=adq * dom,
         trusted=trusted,
-        flags=flags,
     )
 
 

@@ -4,22 +4,19 @@ per-sentence weight emission.
 Selection ranks records by combined score descending with ties broken by
 ascending pair id, so results are reproducible and independent of how the
 records were produced or sharded. Every record of the score file is read and
-checked, whatever n is. Top-n keeps a buffer of at most 2n keys: it sorts the
-buffer each time it fills and keeps the best n. When 2n keys exceed the
-in-memory budget, it sorts chunks of the budget's size, spills them to disk
-and merges them with the same key order, so output does not depend on chunk
-boundaries. Extraction streams the corpus's raw lines, never tokenized, to its
-end, so a score file made for another corpus fails.
+checked, whatever n is. Top-n keeps the best n keys in one buffer: it adds the
+next keys straight from the score stream, sorts, and drops all but the best n.
+It adds n keys at a time while 2n keys fit the in-memory budget, and otherwise
+as many as fit beside the best n, but never fewer than n/4, so the buffer never
+holds more than max(budget, 1.25n) keys and no file is written. Extraction
+streams the corpus's raw lines, never tokenized, to its end, so a score file
+made for another corpus fails.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-import os
-import struct
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,12 +25,10 @@ from .corpus import Row, write_parallel, write_tsv
 from .errors import ScoreDomainError, StructuralError
 from .scoring import ScoreRecord
 
-# A resident (combined, id) tuple costs ~110 bytes with CPython overhead, so
-# 32M keys stay inside a 4 GiB sort budget; top-n spills and merges when its
-# 2n-key buffer would not fit.
+# A resident (-combined, id) key costs about 110-120 bytes with CPython
+# overhead (tracemalloc), so a budget of 32M keys stays under 4 GiB; top-n
+# buffers max(budget, 1.25n) keys.
 DEFAULT_MAX_IN_MEMORY = 32_000_000
-
-_KEY_STRUCT = struct.Struct("<dq")
 
 
 @dataclass
@@ -55,26 +50,6 @@ def _sort_keys(records: Iterable[ScoreRecord]) -> Iterator[tuple[float, int]]:
         yield (-record.combined, record.pair_id)
 
 
-def _chunks(keys: Iterator[tuple[float, int]], size: int) -> Iterator[list[tuple[float, int]]]:
-    while chunk := list(itertools.islice(keys, size)):
-        yield chunk
-
-
-def _spill(keys: list[tuple[float, int]], tmp_dir: str) -> str:
-    keys.sort()
-    fd, path = tempfile.mkstemp(dir=tmp_dir, suffix=".keys")
-    with os.fdopen(fd, "wb") as fh:
-        for key in keys:
-            fh.write(_KEY_STRUCT.pack(*key))
-    return path
-
-
-def _read_spill(path: str) -> Iterator[tuple[float, int]]:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_KEY_STRUCT.size):
-            yield _KEY_STRUCT.unpack(chunk)
-
-
 def select_top_n(
     records: Iterable[ScoreRecord],
     n: int,
@@ -82,38 +57,28 @@ def select_top_n(
 ) -> SelectionResult:
     """Take the n best records by combined score (ties: lower id wins).
 
-    Reads every record once. While 2n keys fit the memory budget, each chunk
-    of n keys joins the best n so far, and a sort keeps the best n of the
-    2n. Otherwise chunks of ``max_in_memory`` keys are sorted, spilled to
-    disk and merged. Either way the ids come back in ascending order for
-    streaming re-extraction.
+    Reads every record once. Each step adds ``step`` keys to the best n so
+    far, sorts, and keeps the best n: ``step`` is n while 2n keys fit
+    ``max_in_memory``, else what fits beside the best n, but at least n/4
+    (and at least one, so that n = 0 still reads every record). The ids come
+    back in ascending order for streaming re-extraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_in_memory < 1:
         raise ValueError("max_in_memory must be >= 1")
     keys = _sort_keys(records)
+    step = max(min(n, max_in_memory - n), n // 4, 1)
+    best: list[tuple[float, int]] = []
     n_scored = 0
-    if 2 * n <= max_in_memory:
-        best: list[tuple[float, int]] = []
-        # Chunks of one key at n = 0, so that every record is still read.
-        for chunk in _chunks(keys, max(n, 1)):
-            n_scored += len(chunk)
-            best += chunk
-            best.sort()
-            del best[n:]
-    else:
-        with tempfile.TemporaryDirectory(prefix="pairsieve-sort-") as tmp_dir:
-            spills = []
-            for chunk in _chunks(keys, max_in_memory):
-                n_scored += len(chunk)
-                spills.append(_spill(chunk, tmp_dir))
-            readers = [_read_spill(p) for p in spills]
-            try:
-                best = list(itertools.islice(heapq.merge(*readers), n))
-            finally:
-                for reader in readers:
-                    reader.close()
+    while True:
+        size = len(best)
+        best += itertools.islice(keys, step)
+        if len(best) == size:
+            break
+        n_scored += len(best) - size
+        best.sort()
+        del best[n:]
     cutoff = -best[-1][0] if best else None
     selected_ids = sorted(pair_id for _, pair_id in best)
     return SelectionResult(

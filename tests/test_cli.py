@@ -731,6 +731,35 @@ def test_pipeline_config_rejects_a_side_given_in_both_forms(
     assert not list(tmp_path.glob("pipe.*"))
 
 
+def test_pipeline_rejects_twin_candidates_of_different_lengths_before_training(
+    workdir, tmp_path, caplog
+):
+    """A candidate target file one line short fails before the trusted sample
+    is drawn, so no model is trained and no artifact is written."""
+    caplog.set_level(logging.INFO)  # restored after the test
+    src, tgt = tmp_path / "crawl.src", tmp_path / "crawl.tgt"
+    src.write_bytes((workdir / "cand.src").read_bytes())
+    lines = (workdir / "cand.tgt").read_text(encoding="utf-8").splitlines(keepends=True)
+    tgt.write_text("".join(lines[:-1]), encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"candidate_src = {src}\ncandidate_tgt = {tgt}\n"
+        f"trusted_src = {workdir / 'trusted.src'}\n"
+        f"trusted_tgt = {workdir / 'trusted.tgt'}\n"
+        f"out_prefix = {tmp_path / 'pipe'}\n"
+        "top_n = 5\nsample_size = 100\nlm_order = 2\nworkers = 2\nlog_level = info\n",
+        encoding="utf-8",
+    )
+    assert run_cli("pipeline", "--config", cfg) == 1
+    errors = [r.message for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [
+        f"line-count mismatch: {src} continues past the last line of {tgt}; "
+        f"first unmatched line is {len(lines)} of {src}"
+    ]
+    assert not any("training translation models" in r.message for r in caplog.records)
+    assert not list(tmp_path.glob("pipe.*"))
+
+
 def test_log_level_flag_reaches_a_pipeline_whose_config_sets_no_log_level(
     workdir, tmp_path, caplog
 ):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairsieve.errors import ScoreDomainError, StructuralError
 from pairsieve.scoring import ScoreRecord, make_record
 from pairsieve.selection import (
+    DEFAULT_MAX_IN_MEMORY,
     emit_weights,
     extract_selected,
     select_by_threshold,
@@ -85,7 +87,7 @@ def tied_records(count, seed):
 def test_external_sort_path_matches_in_memory_path():
     records = tied_records(5000, seed=4)
     expected = full_sort_reference(records, 700)
-    for max_in_memory in (256, 5000):  # spill and merge, then trim in memory
+    for max_in_memory in (256, 5000):  # steps of n/4 = 175 records, then of n
         result = select_top_n(iter(records), 700, max_in_memory=max_in_memory)
         assert (result.selected_ids, result.cutoff_score) == expected
 
@@ -95,12 +97,12 @@ def test_external_sort_path_matches_in_memory_path():
     [
         (30, 60),  # 2n is the budget: a trim after every 30 records
         (7, 1000),  # a trim after every 7 records
-        (31, 60),  # 2n exceeds the budget: 17 spilled chunks, merged
-        (1000, 1000),  # one spilled chunk holding every record
+        (31, 60),  # 2n exceeds the budget: a trim after every 29 records
+        (1000, 1000),  # n is the budget: steps of n/4 = 250 records
         (0, 1000),  # n = 0 still reads every record
         (0, 1),
         (1000, 2000),  # n is the record count: one sort of everything
-        (1500, 64),  # n above the record count, 16 spilled chunks
+        (1500, 64),  # n above the record count and the budget: steps of n/4 = 375
     ],
 )
 def test_top_n_paths_match_a_full_sort(n, max_in_memory):
@@ -114,6 +116,34 @@ def test_top_n_paths_match_a_full_sort(n, max_in_memory):
 def test_top_n_needs_room_for_one_key():
     with pytest.raises(ValueError, match="max_in_memory"):
         select_top_n([rec(0, 0.5)], 1, max_in_memory=0)
+
+
+def lazy_records(count, seed):
+    rng = random.Random(seed)
+    return (rec(i, rng.random()) for i in range(count))
+
+
+@pytest.mark.parametrize(
+    "max_in_memory, bound",
+    [
+        (DEFAULT_MAX_IN_MEMORY, 2.5),  # steps of n: a 2n-key buffer
+        (12_500, 1.75),  # a budget of 1.25n: steps of n/4
+    ],
+)
+def test_top_n_memory_stays_near_the_kept_keys(max_in_memory, bound):
+    n = 10_000
+    tracemalloc.start()
+    try:
+        kept = [(-r.combined, r.pair_id) for r in lazy_records(n, seed=5)]
+        kept_bytes = tracemalloc.get_traced_memory()[0]
+        del kept
+        tracemalloc.reset_peak()
+        result = select_top_n(lazy_records(10 * n, seed=6), n, max_in_memory=max_in_memory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_returned == n and result.n_scored == 10 * n
+    assert peak < bound * kept_bytes
 
 
 @pytest.mark.parametrize("n, max_in_memory", [(0, 10), (5, 10), (5, 4)])
