@@ -19,7 +19,6 @@ from typing import ClassVar
 
 from .corpus import (
     DEFAULT_MAX_TOKENS,
-    Provenance,
     corpus_offsets,
     open_corpus,
     read_mono,
@@ -214,15 +213,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
         _sniff_scorer(args.in_lm, "in"),
         _sniff_scorer(args.out_lm, "out"),
     )
-    provenance = Provenance.TRUSTED if args.trusted else Provenance.CANDIDATE
     paths = _corpus_paths(args)
     session = _AtomicSession()
     n = score_corpus_to_file(
         session.path(args.out),
         *scorers,
         lowercase=args.lowercase,
-        provenance=provenance,
         max_tokens=args.max_tokens,
+        trusted=args.trusted,
         workers=args.workers,
         **paths,
     )
@@ -598,7 +596,8 @@ def run_pipeline(config: PipelineConfig) -> None:
 
     session.commit()
     log.info(
-        "pipeline: done; selected %d pairs (cutoff %s)", selection.n_returned, _cutoff(selection)
+        "pipeline: done; selected %d pairs (cutoff %s)",
+        len(selection.selected_ids), _cutoff(selection),
     )
 
 

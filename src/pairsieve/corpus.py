@@ -12,17 +12,11 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .errors import CorpusFormatError
 
 DEFAULT_MAX_TOKENS = 250
-
-
-class Provenance(Enum):
-    TRUSTED = "trusted"
-    CANDIDATE = "candidate"
 
 
 @dataclass
@@ -44,7 +38,6 @@ class SentencePair:
     id: int
     src: Sentence
     tgt: Sentence
-    provenance: Provenance = Provenance.CANDIDATE
 
 
 def tokenize(line: str, lowercase: bool = False) -> Sentence:
@@ -177,7 +170,6 @@ def open_corpus(
     src_path: str | Path | None = None,
     tgt_path: str | Path | None = None,
     lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
     start: int = 0,
     count: int | None = None,
     offsets: tuple[int, ...] = (0, 0),
@@ -185,12 +177,7 @@ def open_corpus(
     """Stream the pairs of :func:`read_rows`, tokenized, with their ids."""
     rows = read_rows(path, src_path, tgt_path, start, count, offsets)
     return (
-        SentencePair(
-            id=pair_id,
-            src=tokenize(src, lowercase),
-            tgt=tokenize(tgt, lowercase),
-            provenance=provenance,
-        )
+        SentencePair(id=pair_id, src=tokenize(src, lowercase), tgt=tokenize(tgt, lowercase))
         for pair_id, (src, tgt) in enumerate(rows, start)
     )
 

@@ -152,9 +152,7 @@ def inject_noise(
             new_tgt = _made_sentence(list(tgt.tokens[:keep]))
         else:
             new_tgt = rng.choice(third_language)
-        corrupted = SentencePair(
-            id=pair.id, src=src, tgt=new_tgt, provenance=pair.provenance
-        )
+        corrupted = SentencePair(id=pair.id, src=src, tgt=new_tgt)
         out.append(LabeledPair(pair=corrupted, clean=False, kind=kind))
     return out
 
@@ -184,36 +182,40 @@ def write_labels(labels: Iterable[PairLabel], path: str | Path) -> int:
 
 
 def read_labels(path: str | Path) -> list[PairLabel]:
-    with numbered_lines(path, StructuralError) as numbered:
-        lines = list(numbered)
+    """Labels from ``id<TAB>clean|corrupted<TAB>kind`` lines. A clean pair's
+    kind is ``-``; a corrupted pair names one of the NoiseKind values."""
     labels = []
     line_of_id: dict[int, int] = {}
     kinds = {kind.value: kind for kind in NoiseKind}
-    for line_no, line in lines:
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
-            raise StructuralError(
-                f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
-            )
-        try:
-            pair_id = int(parts[0])
-        except ValueError:
-            raise StructuralError(
-                f"{path}: line {line_no}: non-integer id {parts[0]!r}"
-            ) from None
-        if pair_id in line_of_id:
-            raise StructuralError(
-                f"{path}: line {line_no}: id {pair_id} repeats line {line_of_id[pair_id]}"
-            )
-        line_of_id[pair_id] = line_no
-        kind = None
-        if parts[2] != "-":
-            if parts[2] not in kinds:
+    with numbered_lines(path, StructuralError) as lines:
+        for line_no, line in lines:
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
+                raise StructuralError(
+                    f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
+                )
+            try:
+                pair_id = int(parts[0])
+            except ValueError:
+                raise StructuralError(
+                    f"{path}: line {line_no}: non-integer id {parts[0]!r}"
+                ) from None
+            if pair_id in line_of_id:
+                raise StructuralError(
+                    f"{path}: line {line_no}: id {pair_id} repeats line {line_of_id[pair_id]}"
+                )
+            line_of_id[pair_id] = line_no
+            clean = parts[1] == "clean"
+            if clean != (parts[2] == "-"):
+                raise StructuralError(
+                    f"{path}: line {line_no}: {parts[1]} pair with kind {parts[2]!r}; "
+                    "a clean pair has kind '-' and a corrupted one names its kind"
+                )
+            if not clean and parts[2] not in kinds:
                 raise StructuralError(
                     f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
                 )
-            kind = kinds[parts[2]]
-        labels.append(PairLabel(pair_id=pair_id, clean=parts[1] == "clean", kind=kind))
+            labels.append(PairLabel(pair_id=pair_id, clean=clean, kind=kinds.get(parts[2])))
     return labels
 
 

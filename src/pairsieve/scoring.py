@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .corpus import (
     DEFAULT_MAX_TOKENS,
-    Provenance,
     SentencePair,
     corpus_offsets,
     open_corpus,
@@ -160,8 +159,8 @@ def score_pair(
     in_scorer: Scorer,
     out_scorer: Scorer,
     max_tokens: int = DEFAULT_MAX_TOKENS,
+    trusted: bool = False,
 ) -> ScoreRecord:
-    trusted = pair.provenance is Provenance.TRUSTED
     flags = diagnostic_flags(pair, max_tokens)
     if flags:
         return _degenerate_record(pair.id, trusted, flags)
@@ -187,10 +186,11 @@ def score_corpus(
     in_scorer: Scorer,
     out_scorer: Scorer,
     max_tokens: int = DEFAULT_MAX_TOKENS,
+    trusted: bool = False,
 ) -> Iterator[ScoreRecord]:
     """One ScoreRecord per pair, in id order, single streaming pass."""
     for pair in corpus:
-        yield score_pair(pair, fwd_scorer, rev_scorer, in_scorer, out_scorer, max_tokens)
+        yield score_pair(pair, fwd_scorer, rev_scorer, in_scorer, out_scorer, max_tokens, trusted)
 
 
 class Model1Scorer:
@@ -337,8 +337,8 @@ def score_corpus_to_file(
     src_path: str | Path | None = None,
     tgt_path: str | Path | None = None,
     lowercase: bool = False,
-    provenance: Provenance = Provenance.CANDIDATE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
+    trusted: bool = False,
     workers: int = 1,
 ) -> int:
     """Score a corpus from disk into a score file, optionally in parallel.
@@ -365,8 +365,8 @@ def score_corpus_to_file(
 
     def score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:
         start, count, offsets = shard
-        pairs = open_corpus(path, src_path, tgt_path, lowercase, provenance, start, count, offsets)
-        records = score_corpus(pairs, *scorers, max_tokens)
+        pairs = open_corpus(path, src_path, tgt_path, lowercase, start, count, offsets)
+        records = score_corpus(pairs, *scorers, max_tokens, trusted)
         return "".join(format_record(record) + "\n" for record in records)
 
     n_written = 0

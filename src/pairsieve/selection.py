@@ -33,12 +33,10 @@ DEFAULT_MAX_IN_MEMORY = 32_000_000
 
 @dataclass
 class SelectionResult:
-    """Ids selected (ascending), the score at the cut, and the counts."""
+    """Ids selected (ascending), the score at the cut, and the records read."""
 
     selected_ids: list[int]
     cutoff_score: float | None
-    n_requested: int | None
-    n_returned: int
     n_scored: int
 
 
@@ -84,8 +82,6 @@ def select_top_n(
     return SelectionResult(
         selected_ids=selected_ids,
         cutoff_score=cutoff,
-        n_requested=n,
-        n_returned=len(best),
         n_scored=n_scored,
     )
 
@@ -106,8 +102,6 @@ def select_by_threshold(
     return SelectionResult(
         selected_ids=selected_ids,
         cutoff_score=cutoff,
-        n_requested=None,
-        n_returned=len(selected),
         n_scored=n_scored,
     )
 

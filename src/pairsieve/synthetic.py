@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .corpus import Provenance, Sentence, SentencePair
+from .corpus import Sentence, SentencePair
 
 
 _VOCAB_SIZE = 100  # words in each cipher language
@@ -53,7 +53,6 @@ def make_cipher_corpus(
                 id=i,
                 src=Sentence(tokens=src_tokens, raw=" ".join(src_tokens)),
                 tgt=Sentence(tokens=tgt_tokens, raw=" ".join(tgt_tokens)),
-                provenance=Provenance.CANDIDATE,
             )
         )
     return pairs

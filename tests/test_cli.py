@@ -238,16 +238,20 @@ def test_score_rejects_invalid_utf8_naming_file_and_line(workdir, tmp_path, capl
 
 
 def test_trusted_flag_forces_adequacy_to_one(workdir, tmp_path):
-    out = tmp_path / "trusted.scores.tsv"
-    code = run_cli(
-        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
-        *model_args(workdir), "--out", out, "--trusted",
-    )
-    assert code == 0
-    for record in read_score_file(out):
+    """At 2 workers the shard is scored in a forked child, which must see
+    the flag too."""
+    outs = [tmp_path / f"trusted.w{workers}.scores.tsv" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        code = run_cli(
+            "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+            *model_args(workdir), "--out", out, "--trusted", "--workers", workers,
+        )
+        assert code == 0
+    for record in read_score_file(outs[0]):
         assert record.trusted
         assert record.adq == 1.0
         assert record.combined == record.dom
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_direction_mismatch_is_a_config_error(workdir, tmp_path, capsys):
@@ -409,6 +413,18 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
             b"0\tclean\t-\n1\tcorrupted\tshuffle\n1\tclean\t-\n",
             "line 3: id 1 repeats line 2",
             id="repeated-id",
+        ),
+        pytest.param(
+            b"0\tclean\t-\n1\tcorrupted\t-\n",
+            "line 2: corrupted pair with kind '-'; "
+            "a clean pair has kind '-' and a corrupted one names its kind",
+            id="corrupted-without-kind",
+        ),
+        pytest.param(
+            b"0\tclean\tmisalign\n1\tcorrupted\tshuffle\n",
+            "line 1: clean pair with kind 'misalign'; "
+            "a clean pair has kind '-' and a corrupted one names its kind",
+            id="clean-with-kind",
         ),
     ],
 )
@@ -1185,6 +1201,20 @@ def test_peak_rss_reports_the_commands_own_usage_and_exit_status():
     assert set(usage) == {"cmd", "exit", "wall_s", "cpu_s", "maxrss_mib", "minflt"}
     assert usage["exit"] == 3 and usage["cmd"][0] == sys.executable
     assert usage["maxrss_mib"] >= 40 and usage["minflt"] > 0
+
+
+def test_intrinsic_eval_script_reports_each_auc():
+    """scripts/run_intrinsic_eval.py runs end to end on a small draw."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_intrinsic_eval.py"), "--pairs", "300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = dict(line.split("\t") for line in proc.stdout.splitlines())
+    for name in ("auc_combined", "auc_adq_alone", "auc_dom_alone"):
+        assert 0.0 <= float(report[name]) <= 1.0
+    assert int(report["pairs"]) == 300
 
 
 class TrackedSample(list):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsieve.corpus import (
-    Provenance,
     open_corpus,
     sample,
     tokenize,
@@ -53,7 +52,6 @@ def test_read_parallel_yields_sequential_ids(tmp_path):
     pairs = list(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"))
     assert [p.id for p in pairs] == [0, 1, 2]
     assert [p.src.raw for p in pairs] == ["ein", "zwei", "drei"]
-    assert all(p.provenance is Provenance.CANDIDATE for p in pairs)
 
 
 def test_read_parallel_line_count_mismatch_names_first_unmatched(tmp_path):

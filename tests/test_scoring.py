@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pairsieve.corpus import Provenance, Sentence, SentencePair, tokenize
+from pairsieve.corpus import Sentence, SentencePair, tokenize
 from pairsieve.errors import ModelFormatError, ScoreDomainError, ScoringError
 from pairsieve import scoring
 from pairsieve.lexical_tm import ExternalScoreTable
@@ -137,13 +137,8 @@ def test_domain_clips_exactly_when_in_domain_wins(h_in, h_out):
         assert dom < 1.0
 
 
-def make_pair(i, trusted=False):
-    return SentencePair(
-        id=i,
-        src=tokenize(f"src {i}"),
-        tgt=tokenize(f"tgt {i}"),
-        provenance=Provenance.TRUSTED if trusted else Provenance.CANDIDATE,
-    )
+def make_pair(i):
+    return SentencePair(id=i, src=tokenize(f"src {i}"), tgt=tokenize(f"tgt {i}"))
 
 
 def test_score_corpus_matches_oracle_on_random_inputs():
@@ -151,9 +146,8 @@ def test_score_corpus_matches_oracle_on_random_inputs():
     n = 1000
     h = [[rng.uniform(0, 30) for _ in range(n)] for _ in range(4)]
     trusted = [rng.random() < 0.2 for _ in range(n)]
-    pairs = [make_pair(i, trusted[i]) for i in range(n)]
     scorers = [TableScorer(ExternalScoreTable(h[j])) for j in range(4)]
-    records = list(score_corpus(pairs, *scorers))
+    records = [scoring.score_pair(make_pair(i), *scorers, trusted=trusted[i]) for i in range(n)]
     assert [r.pair_id for r in records] == list(range(n))
     for i, record in enumerate(records):
         adq, dom, combined = oracle_scores(h[0][i], h[1][i], h[2][i], h[3][i], trusted[i])
@@ -186,6 +180,14 @@ def test_blank_target_scores_zero_with_flag():
     assert records[1].combined == 0.0
     assert records[1].flags == ("blank_tgt",)
     assert records[0].flags == ()
+
+
+def test_trusted_blank_pair_keeps_both_flags():
+    pair = SentencePair(id=0, src=tokenize(" "), tgt=tokenize("b"))
+    table = TableScorer(ExternalScoreTable([1.0]))
+    record = scoring.score_pair(pair, *(table,) * 4, trusted=True)
+    assert record.combined == 0.0
+    assert format_record(record).split("\t")[-1] == "trusted,blank_src"
 
 
 def test_overlength_side_scores_zero_with_flag():

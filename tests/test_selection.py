@@ -32,7 +32,7 @@ def test_top_n_hand_sort():
     result = select_top_n([rec(0, 0.9), rec(1, 0.1), rec(2, 0.5)], 2)
     assert result.selected_ids == [0, 2]
     assert result.cutoff_score == 0.5
-    assert result.n_returned == 2
+    assert len(result.selected_ids) == 2
 
 
 def test_top_n_ties_break_by_ascending_id():
@@ -42,9 +42,8 @@ def test_top_n_ties_break_by_ascending_id():
 
 def test_top_n_larger_than_corpus():
     result = select_top_n([rec(i, 0.1 * i) for i in range(3)], 10)
-    assert result.n_returned == 3
+    assert len(result.selected_ids) == 3
     assert result.selected_ids == [0, 1, 2]
-    assert result.n_requested == 10
 
 
 def test_threshold_selection():
@@ -109,7 +108,7 @@ def test_top_n_paths_match_a_full_sort(n, max_in_memory):
     records = tied_records(1000, seed=n + max_in_memory)
     result = select_top_n(iter(records), n, max_in_memory=max_in_memory)
     assert (result.selected_ids, result.cutoff_score) == full_sort_reference(records, n)
-    assert result.n_returned == min(n, len(records))
+    assert len(result.selected_ids) == min(n, len(records))
     assert result.n_scored == len(records)
 
 
@@ -142,7 +141,7 @@ def test_top_n_memory_stays_near_the_kept_keys(max_in_memory, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.n_returned == n and result.n_scored == 10 * n
+    assert len(result.selected_ids) == n and result.n_scored == 10 * n
     assert peak < bound * kept_bytes
 
 
@@ -242,9 +241,7 @@ def test_extract_empty_selection(tmp_path):
 def test_extract_id_beyond_corpus_end(tmp_path):
     from pairsieve.selection import SelectionResult
 
-    selection = SelectionResult(
-        selected_ids=[5], cutoff_score=1.0, n_requested=1, n_returned=1, n_scored=3
-    )
+    selection = SelectionResult(selected_ids=[5], cutoff_score=1.0, n_scored=3)
     with pytest.raises(StructuralError, match="5"):
         extract_selected(
             corpus_rows(3),
