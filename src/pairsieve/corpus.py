@@ -19,9 +19,13 @@ from .errors import CorpusFormatError
 DEFAULT_MAX_TOKENS = 250
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
-    """One line of text: whitespace tokens plus the verbatim raw line."""
+    """One line of text: whitespace tokens plus the verbatim raw line.
+
+    ``raw`` is ``""`` for a sentence that :func:`sample` kept: training
+    reads only the tokens.
+    """
 
     tokens: list[str]
     raw: str
@@ -31,7 +35,7 @@ class Sentence:
         return not self.tokens
 
 
-@dataclass
+@dataclass(slots=True)
 class SentencePair:
     """An aligned (source, target) sentence with stable line-index identity."""
 
@@ -226,7 +230,8 @@ def sample(
 
     Single pass, deterministic for a fixed seed. Each pair that enters the
     reservoir has its tokens interned, so the sample holds one string object
-    per word; pairs passed over are never interned.
+    per word, and both raw lines set to ``""``, which training never reads;
+    pairs passed over are left as they are.
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
@@ -245,6 +250,7 @@ def sample(
 
 def _interned(pair: SentencePair) -> SentencePair:
     intern = sys.intern
-    pair.src.tokens = list(map(intern, pair.src.tokens))
-    pair.tgt.tokens = list(map(intern, pair.tgt.tokens))
+    for sentence in (pair.src, pair.tgt):
+        sentence.tokens = list(map(intern, sentence.tokens))
+        sentence.raw = ""
     return pair

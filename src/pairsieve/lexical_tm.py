@@ -100,30 +100,35 @@ def train_model1(
     always run the full iteration count.
 
     Pairs with a blank side are skipped; if nothing usable remains, training
-    fails.
+    fails. EM keeps each usable pair's own token lists, not copies, and
+    interns their tokens in place (``sys.intern``), so the caller's lists
+    are left holding the same words as interned strings.
     """
     if iterations < 1:
         raise TrainingError("iterations must be >= 1")
 
     # Interned tokens make every key of the EM tables one string per word.
     intern = sys.intern
-    oriented: list[tuple[list[str], list[str]]] = []
+    conds: list[list[str]] = []
+    gens: list[list[str]] = []
     for pair in parallel:
         cond, gen = _oriented(pair, direction)
         if cond.is_blank or gen.is_blank:
             continue
-        cond_words = map(intern, cond.tokens)
-        cond_tokens = [NULL, *cond_words] if use_null else list(cond_words)
-        oriented.append((cond_tokens, list(map(intern, gen.tokens))))
-    if not oriented:
+        cond.tokens[:] = map(intern, cond.tokens)
+        gen.tokens[:] = map(intern, gen.tokens)
+        conds.append(cond.tokens)
+        gens.append(gen.tokens)
+    if not conds:
         raise TrainingError("no usable pairs: every pair had a blank side")
 
     # Uniform initialization over co-occurring generated words: the table's
     # keys are exactly the co-occurring (gen, cond) pairs, so each cond word
     # starts at 1 / (number of columns that hold it).
+    null = (NULL,) if use_null else ()
     table: dict[str, dict[str, float]] = {}
-    for cond_tokens, gen_tokens in oriented:
-        cond_keys = dict.fromkeys(cond_tokens, 0.0)
+    for cond_tokens, gen_tokens in zip(conds, gens):
+        cond_keys = dict.fromkeys(itertools.chain(null, cond_tokens), 0.0)
         for g in gen_tokens:
             table.setdefault(g, {}).update(cond_keys)
     n_columns = Counter(itertools.chain.from_iterable(table.values()))
@@ -132,23 +137,29 @@ def train_model1(
         for c in column:
             column[c] = start[c]
 
-    # Every z, count and total adds its terms in corpus order, so each
-    # probability is the same float whichever way the table is keyed.
+    # Every z, count and total adds its terms in corpus order, NULL's first,
+    # so each probability is the same float whichever way the table is keyed.
+    # (z starts from NULL's term, as 0.0 + x == x; no sum(), which
+    # compensates from Python 3.12 and would change the floats.)
     trace: EmTrace = []
-    n_pairs = len(oriented)
+    n_pairs = len(conds)
     for _ in range(iterations):
         counts: dict[str, dict[str, float]] = {g: {} for g in table}
         totals = dict.fromkeys(n_columns, 0.0)
         log_likelihood = 0.0
-        for cond_tokens, gen_tokens in oriented:
-            len_norm = math.log(len(cond_tokens))
+        for cond_tokens, gen_tokens in zip(conds, gens):
+            len_norm = math.log(len(cond_tokens) + use_null)
             for g in gen_tokens:
                 column = table[g]
-                z = 0.0
+                z = column[NULL] if use_null else 0.0
                 for c in cond_tokens:
                     z += column[c]
                 log_likelihood += math.log(z) - len_norm
                 count_column = counts[g]
+                if use_null:
+                    share = column[NULL] / z
+                    count_column[NULL] = count_column.get(NULL, 0.0) + share
+                    totals[NULL] += share
                 for c in cond_tokens:
                     share = column[c] / z
                     count_column[c] = count_column.get(c, 0.0) + share

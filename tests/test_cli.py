@@ -1203,6 +1203,29 @@ def test_peak_rss_reports_the_commands_own_usage_and_exit_status():
     assert usage["maxrss_mib"] >= 40 and usage["minflt"] > 0
 
 
+def test_sample_memory_reports_one_pipeline_run_per_sample_size():
+    """scripts/sample_memory.py runs the pipeline on a tiny seeded draw and
+    prints peak_rss.py's JSON, with the sample size and model hashes, for
+    each size given."""
+    proc = subprocess.run(
+        [
+            sys.executable, str(REPO_ROOT / "scripts" / "sample_memory.py"),
+            "--trusted", "200", "--crawl", "60", "--sample-size", "30", "--sample-size", "80",
+            "--workers", "1",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [run["sample_size"] for run in runs] == [30, 80]
+    for run in runs:
+        assert run["exit"] == 0 and run["maxrss_mib"] > 0
+        assert set(run["model_sha256"]) == {"fwd.tm", "rev.tm", "in.lm", "out.lm"}
+    # A larger sample trains other tables.
+    assert runs[0]["model_sha256"]["fwd.tm"] != runs[1]["model_sha256"]["fwd.tm"]
+
+
 def test_intrinsic_eval_script_reports_each_auc():
     """scripts/run_intrinsic_eval.py runs end to end on a small draw."""
     proc = subprocess.run(

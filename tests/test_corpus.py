@@ -183,3 +183,22 @@ def test_sample_holds_one_string_per_word(tmp_path, n):
     tokens = [t for p in picked for t in p.src.tokens + p.tgt.tokens]
     assert len(picked) == min(n, 60)
     assert len({id(t) for t in tokens}) == len(set(tokens)) == 4
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_sampled_pairs_keep_no_raw_lines(tmp_path, n):
+    _write(tmp_path / "c.src", [f"Quelle {i}" for i in range(40)])
+    _write(tmp_path / "c.tgt", [f"Ziel  {i}" for i in range(40)])
+    picked = sample(open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt"), n, seed=3)
+    assert len(picked) == min(n, 40)
+    assert all(p.src.raw == p.tgt.raw == "" for p in picked)
+    assert picked[0].tgt.tokens == ["Ziel", str(picked[0].id)]
+
+
+def test_sentences_and_pairs_carry_no_instance_dict(tmp_path):
+    _write(tmp_path / "c.tsv", ["ein haus\ta house"])
+    pair = next(open_corpus(path=tmp_path / "c.tsv"))
+    for obj in (pair, pair.src, pair.tgt):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.note = "no room for another attribute"

@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pairsieve.corpus import Sentence, SentencePair, tokenize
+from pairsieve.corpus import Sentence, SentencePair, sample, tokenize
 from pairsieve.errors import (
     EmptySentenceError,
     EmptySourceError,
@@ -486,6 +487,92 @@ def test_em_table_equals_cond_major_reference(seed, use_null, direction):
     assert model.table == gen_major(reference_train_model1(oriented, 4))  # exact
 
 
+def copying_train_model1(parallel, iterations, use_null, direction):
+    """Gen-major EM over copied token lists with NULL prepended to each
+    conditioning side, as train_model1 once ran it; always runs every
+    iteration."""
+    oriented = []
+    for p in parallel:
+        cond, gen = (p.src, p.tgt) if direction is Direction.FORWARD else (p.tgt, p.src)
+        if cond.tokens and gen.tokens:
+            oriented.append(([NULL, *cond.tokens] if use_null else list(cond.tokens), list(gen.tokens)))
+    table = {}
+    for cond_tokens, gen_tokens in oriented:
+        cond_keys = dict.fromkeys(cond_tokens, 0.0)
+        for g in gen_tokens:
+            table.setdefault(g, {}).update(cond_keys)
+    n_columns = {}
+    for column in table.values():
+        for c in column:
+            n_columns[c] = n_columns.get(c, 0) + 1
+    for column in table.values():
+        for c in column:
+            column[c] = 1.0 / n_columns[c]
+    trace = []
+    for _ in range(iterations):
+        counts = {g: {} for g in table}
+        totals = dict.fromkeys(n_columns, 0.0)
+        log_likelihood = 0.0
+        for cond_tokens, gen_tokens in oriented:
+            len_norm = math.log(len(cond_tokens))
+            for g in gen_tokens:
+                column = table[g]
+                z = 0.0
+                for c in cond_tokens:
+                    z += column[c]
+                log_likelihood += math.log(z) - len_norm
+                for c in cond_tokens:
+                    share = column[c] / z
+                    counts[g][c] = counts[g].get(c, 0.0) + share
+                    totals[c] += share
+        trace.append(log_likelihood)
+        for g, count_column in counts.items():
+            table[g] = {c: v / totals[c] for c, v in count_column.items()}
+    return table, trace
+
+
+def repeating_corpus():
+    """Words repeat within sentences and across pairs on both sides; pair 3
+    has a blank target and pair 4 a blank source, so each direction skips one."""
+    lines = [
+        ("das haus das", "the house the the"),
+        ("das buch", "the book book"),
+        ("ein haus ein buch", "a house a book"),
+        ("das das haus", ""),
+        ("", "the the"),
+        ("buch haus buch haus das", "book house book the"),
+    ]
+    return [pair(i, src, tgt) for i, (src, tgt) in enumerate(lines)]
+
+
+@pytest.mark.parametrize("use_null", [True, False])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_em_on_the_pairs_own_tokens_matches_the_copying_loop(use_null, direction):
+    model, trace = train_model1(
+        repeating_corpus(), iterations=6, use_null=use_null, direction=direction, min_gain=None
+    )
+    ref_table, ref_trace = copying_train_model1(repeating_corpus(), 6, use_null, direction)
+    assert trace == ref_trace  # exact, float for float
+    # Same probabilities, and columns filled in the same order.
+    assert [(g, list(col.items())) for g, col in model.table.items()] == [
+        (g, list(col.items())) for g, col in ref_table.items()
+    ]
+
+
+def test_em_interns_the_callers_token_lists_in_place():
+    corpus = [pair(0, "das haus", "the house"), pair(1, "das buch", "the book")]
+    for p in corpus:  # fresh strings, equal to the words but never interned
+        for s in (p.src, p.tgt):
+            s.tokens = ["".join(list(w)) for w in s.tokens]
+    lists = [(p.src.tokens, p.tgt.tokens) for p in corpus]
+    assert corpus[0].src.tokens[0] is not sys.intern("das")
+    train_model1(corpus, iterations=1)
+    for p, (src_tokens, tgt_tokens) in zip(corpus, lists):
+        assert p.src.tokens is src_tokens and p.tgt.tokens is tgt_tokens
+        assert all(w is sys.intern(w) for w in src_tokens + tgt_tokens)
+    assert [p.src.tokens for p in corpus] == [["das", "haus"], ["das", "buch"]]
+
+
 def test_cond_sorted_file_loads_to_the_saved_table(tmp_path):
     model, _ = train_model1(toy_corpus(), iterations=3, use_null=True)
     save_tm(model, tmp_path / "gen.tm")
@@ -592,8 +679,9 @@ def test_scores_do_not_depend_on_query_string_identity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# EM's working set: the uniform start is counted from the table itself, so
-# training holds little beyond the table, its counts and the oriented lists.
+# EM's working set: the uniform start is counted from the table itself and
+# EM reads the pairs' own token lists, so training holds little beyond the
+# table and its expected counts.
 # ---------------------------------------------------------------------------
 
 
@@ -625,3 +713,19 @@ def test_em_peak_stays_within_a_small_multiple_of_its_table():
     assert sum(map(len, model.table.values())) > 10_000
     # Per-word co-occurrence sets kept beside the table push this past 3.3x.
     assert peak <= 2.75 * table_bytes
+
+
+def test_em_adds_little_per_pair_beyond_its_table():
+    n_pairs = 2_000
+    # sample interns the tokens and drops the raw lines, as the pipeline's does.
+    picked = sample(iter(zipf_corpus(n_pairs, seed=11)), n_pairs, seed=1)
+    tracemalloc.start()
+    try:
+        model, _ = train_model1(picked, iterations=2, min_gain=None)
+        table_bytes, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(picked) == n_pairs
+    # About 2,350 B per pair; copying each pair's tokens with NULL prepended
+    # took about 2,680 B.
+    assert (peak - table_bytes) / n_pairs <= 2_500
