@@ -27,15 +27,16 @@ sys.path.insert(0, str(ROOT / "sievebench"))
 import gen  # noqa: E402
 
 MODELS = ("fwd.tm", "rev.tm", "in.lm", "out.lm")
+SEED = 7  # of the draws and of the pipeline's sample
 
 
-def run_pipeline(work: Path, sample_size: int, seed: int, workers: int) -> dict:
+def run_pipeline(work: Path, sample_size: int, workers: int) -> dict:
     config = work / f"sample{sample_size}.cfg"
     prefix = f"sample{sample_size}"
     config.write_text(
         "candidate_src = crawl.src\ncandidate_tgt = crawl.tgt\n"
         "trusted_src = trusted.src\ntrusted_tgt = trusted.tgt\n"
-        f"out_prefix = {prefix}\nthreshold = 0.03\nseed = {seed}\n"
+        f"out_prefix = {prefix}\nthreshold = 0.03\nseed = {SEED}\n"
         f"sample_size = {sample_size}\nlm_order = 2\n"
         f"workers = {workers}\nlog_level = warning\n",
         encoding="utf-8",
@@ -64,16 +65,15 @@ def main(argv: list[str]) -> int:
                         help="trusted sample size of one pipeline run (repeatable)")
     parser.add_argument("--trusted", type=int, default=100_000, help="trusted pairs drawn")
     parser.add_argument("--crawl", type=int, default=4_000, help="candidate pairs drawn")
-    parser.add_argument("--seed", type=int, default=7, help="seed of the draws and the pipeline")
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
     status = 0
     with tempfile.TemporaryDirectory(prefix="sample_memory.") as tmp:
         work = Path(tmp)
-        gen.generate(args.seed, work, gen.Sizes(trusted=args.trusted, crawl=args.crawl))
+        gen.generate(SEED, work, gen.Sizes(trusted=args.trusted, crawl=args.crawl))
         for sample_size in args.sample_size:
-            usage = run_pipeline(work, sample_size, args.seed, args.workers)
+            usage = run_pipeline(work, sample_size, args.workers)
             print(json.dumps(usage), flush=True)
             status = status or usage["exit"]
     return status

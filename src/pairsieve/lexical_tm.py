@@ -139,8 +139,7 @@ def train_model1(
 
     # Every z, count and total adds its terms in corpus order, NULL's first,
     # so each probability is the same float whichever way the table is keyed.
-    # (z starts from NULL's term, as 0.0 + x == x; no sum(), which
-    # compensates from Python 3.12 and would change the floats.)
+    # (No sum(), which compensates from Python 3.12 and would change the floats.)
     trace: EmTrace = []
     n_pairs = len(conds)
     for _ in range(iterations):
@@ -148,19 +147,16 @@ def train_model1(
         totals = dict.fromkeys(n_columns, 0.0)
         log_likelihood = 0.0
         for cond_tokens, gen_tokens in zip(conds, gens):
-            len_norm = math.log(len(cond_tokens) + use_null)
+            cond_terms = (*null, *cond_tokens)  # freed with the next pair
+            len_norm = math.log(len(cond_terms))
             for g in gen_tokens:
                 column = table[g]
-                z = column[NULL] if use_null else 0.0
-                for c in cond_tokens:
+                z = 0.0
+                for c in cond_terms:
                     z += column[c]
                 log_likelihood += math.log(z) - len_norm
                 count_column = counts[g]
-                if use_null:
-                    share = column[NULL] / z
-                    count_column[NULL] = count_column.get(NULL, 0.0) + share
-                    totals[NULL] += share
-                for c in cond_tokens:
+                for c in cond_terms:
                     share = column[c] / z
                     count_column[c] = count_column.get(c, 0.0) + share
                     totals[c] += share
