@@ -346,7 +346,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not combined:
         raise PairsieveError(f"{args.scores}: empty score file, nothing to summarize")
     n = len(combined)
-    ordered = sorted(combined)
+    combined.sort()
 
     out = sys.stdout
     out.write(f"records\t{n}\n")
@@ -354,10 +354,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out.write(f"flagged\t{sum(flag_counts.values())}\n")
     for flag in sorted(flag_counts):
         out.write(f"flag_{flag}\t{flag_counts[flag]}\n")
-    out.write(f"min\t{ordered[0]:.6g}\n")
+    out.write(f"min\t{combined[0]:.6g}\n")
     for decile in range(1, 10):
-        out.write(f"p{decile * 10}\t{_quantile(ordered, decile / 10):.6g}\n")
-    out.write(f"max\t{ordered[-1]:.6g}\n")
+        out.write(f"p{decile * 10}\t{_quantile(combined, decile / 10):.6g}\n")
+    out.write(f"max\t{combined[-1]:.6g}\n")
     bins = [0] * 20
     for value in combined:
         bins[min(int(value * 20), 19)] += 1
@@ -365,7 +365,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         out.write(f"hist\t{i / 20:.2f}\t{(i + 1) / 20:.2f}\t{count}\n")
     for fraction in (0.10, 0.25, 0.50, 0.75):
         keep = max(1, round(fraction * n))
-        out.write(f"retention\t{fraction:.2f}\t{ordered[n - keep]:.6g}\n")
+        out.write(f"retention\t{fraction:.2f}\t{combined[n - keep]:.6g}\n")
     return 0
 
 

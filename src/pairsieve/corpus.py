@@ -53,21 +53,18 @@ def tokenize(line: str, lowercase: bool = False) -> Sentence:
     return Sentence(tokens=text.split(), raw=line)
 
 
-def _decode_line(data: bytes, path: str, line_no: int) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(
-            f"{path}: line {line_no}: invalid UTF-8 at byte offset {exc.start}"
-        ) from exc
-
-
 def _iter_lines(path: str | Path, offset: int = 0, first_line: int = 1) -> Iterator[str]:
     # Binary read so decode errors can name a byte offset within the line.
     with open(path, "rb") as fh:
         fh.seek(offset)
         for line_no, data in enumerate(fh, start=first_line):
-            yield _decode_line(data.rstrip(b"\n"), str(path), line_no)
+            try:
+                line = data.rstrip(b"\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(
+                    f"{path}: line {line_no}: invalid UTF-8 at byte offset {exc.start}"
+                ) from exc
+            yield line
 
 
 def count_lines(path: str | Path, every: int) -> tuple[int, list[int]]:

@@ -91,6 +91,7 @@ def forked_map(
                     with suppress(BrokenPipeError):  # a dead child is named on the next read
                         os.write(go, b"\0")
                 yield value
+                del value  # hold no result while the next one is unpickled
 
         yield results()
     finally:

@@ -87,7 +87,7 @@ def domain_score(h_in: float, h_out: float) -> float:
     """min(exp(h_out - h_in), 1): how many times less perplexing the target
     sentence is to the in-domain model, clipped from above at 1."""
     _check_entropies(h_in, h_out)
-    return min(math.exp(h_out - h_in), 1.0)
+    return math.exp(min(h_out - h_in, 0.0))
 
 
 def make_record(
@@ -381,4 +381,5 @@ def score_corpus_to_file(
             for blob in blobs:
                 fh.write(blob)
                 n_written += blob.count("\n")
+                del blob  # hold one shard's string, not two, while the next is read
     return n_written

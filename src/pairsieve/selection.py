@@ -16,7 +16,6 @@ made for another corpus fails.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,14 +39,6 @@ class SelectionResult:
     n_scored: int
 
 
-def _sort_keys(records: Iterable[ScoreRecord]) -> Iterator[tuple[float, int]]:
-    # Ascending sort of (-combined, id) = combined descending, id ascending.
-    for record in records:
-        if math.isnan(record.combined):
-            raise ScoreDomainError(f"pair {record.pair_id}: combined score is NaN")
-        yield (-record.combined, record.pair_id)
-
-
 def select_top_n(
     records: Iterable[ScoreRecord],
     n: int,
@@ -65,7 +56,8 @@ def select_top_n(
         raise ValueError("n must be >= 0")
     if max_in_memory < 1:
         raise ValueError("max_in_memory must be >= 1")
-    keys = _sort_keys(records)
+    # Ascending sort of (-combined, id) = combined descending, id ascending.
+    keys = ((-record.combined, record.pair_id) for record in records)
     step = max(min(n, max_in_memory - n), n // 4, 1)
     best: list[tuple[float, int]] = []
     n_scored = 0
@@ -92,22 +84,20 @@ def select_by_threshold(
     """All records with combined score >= threshold, in ascending id order."""
     if not 0.0 <= threshold <= 1.0:
         raise ScoreDomainError(f"threshold must be in [0, 1], got {threshold!r}")
-    selected = []
+    selected_ids = []
+    cutoff = None
     n_scored = 0
     for n_scored, record in enumerate(records, 1):
         if record.combined >= threshold:
-            selected.append((record.combined, record.pair_id))
-    cutoff = min((c for c, _ in selected), default=None)
-    selected_ids = sorted(pair_id for _, pair_id in selected)
+            selected_ids.append(record.pair_id)
+            if cutoff is None or record.combined < cutoff:
+                cutoff = record.combined
+    selected_ids.sort()
     return SelectionResult(
         selected_ids=selected_ids,
         cutoff_score=cutoff,
         n_scored=n_scored,
     )
-
-
-def format_weight(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def emit_weights(records: Iterable[ScoreRecord], path: str | Path) -> int:
@@ -128,12 +118,7 @@ def emit_weights(records: Iterable[ScoreRecord], path: str | Path) -> int:
                 raise StructuralError(
                     f"weight emission: duplicate or out-of-order id {record.pair_id}"
                 )
-            if not (0.0 <= record.combined <= 1.0) or not math.isfinite(record.combined):
-                raise ScoreDomainError(
-                    f"weight for pair {record.pair_id} outside [0, 1]: "
-                    f"{record.combined!r}"
-                )
-            fh.write(format_weight(record.combined) + "\n")
+            fh.write(f"{record.combined:.6g}\n")
             expected += 1
     return expected
 
@@ -152,15 +137,13 @@ def extract_selected(
     ``rows`` are the corpus's raw (source, target) lines, pair 0 first, as
     :func:`~pairsieve.corpus.read_rows` gives them. They are read to the end:
     a corpus whose pair count is not the number of scored records fails,
-    naming both inputs by ``scores_name`` and ``corpus_name``.
+    naming both inputs by ``scores_name`` and ``corpus_name``. The selected
+    ids must ascend, as both selectors return them; an id out of order is
+    never reached and fails at the corpus's end.
     """
-    ids = selection.selected_ids
-    for i in range(1, len(ids)):
-        if ids[i] <= ids[i - 1]:
-            raise StructuralError("selection ids must be strictly ascending")
 
     def selected_rows() -> Iterator[Row]:
-        wanted = iter(ids)
+        wanted = iter(selection.selected_ids)
         next_id = next(wanted, None)
         pair_id = -1
         for pair_id, (src, tgt) in enumerate(rows):

@@ -146,6 +146,24 @@ def test_score_rejects_a_table_of_the_wrong_length(workdir, tmp_path, caplog, n_
     assert f"{n_fwd} scores" in record.message and "120 pairs" in record.message
 
 
+def test_score_clips_an_out_lm_value_far_above_the_in_lm_value(tmp_path):
+    # exp(1000) overflows a float; the algebra still gives dom = 1.
+    write_parallel([(0, "a", "b"), (1, "c", "d")], tmp_path / "c.src", tmp_path / "c.tgt")
+    tables = {"f.tsv": (1.0, 1.0), "r.tsv": (1.0, 1.0), "i.tsv": (0.5, 2.0), "o.tsv": (1000.5, 1.0)}
+    for name, values in tables.items():
+        (tmp_path / name).write_text(
+            "".join(f"{i}\t{v}\n" for i, v in enumerate(values)), encoding="utf-8"
+        )
+    out = tmp_path / "x.tsv"
+    code = run_cli(
+        "score", "--in-src", tmp_path / "c.src", "--in-tgt", tmp_path / "c.tgt",
+        "--fwd-model", tmp_path / "f.tsv", "--rev-model", tmp_path / "r.tsv",
+        "--in-lm", tmp_path / "i.tsv", "--out-lm", tmp_path / "o.tsv",
+        "--out", out,
+    )
+    assert code == 0
+    assert [r.dom for r in read_score_file(out)] == [1.0, pytest.approx(math.exp(-1), rel=1e-5)]
+
 
 def test_score_rejects_a_negative_table_value_with_file_and_line(workdir, tmp_path, caplog):
     for name in ("f.tsv", "r.tsv", "i.tsv", "o.tsv"):
@@ -1242,6 +1260,22 @@ def test_intrinsic_eval_script_reports_each_auc():
 
 class TrackedSample(list):
     """A list that a weakref can follow."""
+
+
+def test_forked_map_holds_no_result_while_it_reads_the_next(monkeypatch):
+    """Once the caller has dropped a result, the iterator keeps no reference
+    to it while the next one is unpickled."""
+    real_load, refs, alive = pickle.load, [], []
+
+    def load(file):
+        alive.append([ref() is not None for ref in refs])
+        return real_load(file)
+
+    monkeypatch.setattr(pickle, "load", load)
+    with forked_map(TrackedSample, [[0], [1], [2]], 2, str) as results:
+        for _ in range(3):
+            refs.append(weakref.ref(next(results)))
+    assert alive == [[], [False], [False, False]]
 
 
 def test_pipeline_frees_the_trusted_sample_before_the_reverse_model_arrives(

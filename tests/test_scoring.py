@@ -67,6 +67,7 @@ def test_domain_score_hand_values():
     assert domain_score(1.0, 1.0) == 1.0
     assert domain_score(2.0, 1.0) == pytest.approx(math.exp(-1), abs=1e-9)
     assert domain_score(0.5, 2.0) == 1.0  # clip branch
+    assert domain_score(0.5, 1000.0) == 1.0  # exp(999.5) would overflow a float
 
 
 def combined_score(adq, dom, trusted=False):

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairsieve.errors import ScoreDomainError, StructuralError
+from pairsieve.errors import StructuralError
 from pairsieve.scoring import ScoreRecord, make_record
 from pairsieve.selection import (
     DEFAULT_MAX_IN_MEMORY,
@@ -51,6 +51,11 @@ def test_threshold_selection():
     assert select_by_threshold(records, 0.5).selected_ids == [0, 2]
     assert select_by_threshold(records, 0.0).selected_ids == [0, 1, 2]
     assert select_by_threshold([rec(0, 1.0), rec(1, 0.99)], 1.0).selected_ids == [0]
+    unordered = [rec(5, 0.7), rec(2, 0.2), rec(9, 0.4), rec(0, 0.9), rec(3, 0.4)]
+    result = select_by_threshold(unordered, 0.3)
+    assert (result.selected_ids, result.cutoff_score, result.n_scored) == ([0, 3, 5, 9], 0.4, 5)
+    nothing = select_by_threshold(unordered, 0.95)
+    assert (nothing.selected_ids, nothing.cutoff_score, nothing.n_scored) == ([], None, 5)
 
 
 @settings(max_examples=60)
@@ -145,11 +150,15 @@ def test_top_n_memory_stays_near_the_kept_keys(max_in_memory, bound):
     assert peak < bound * kept_bytes
 
 
-@pytest.mark.parametrize("n, max_in_memory", [(0, 10), (5, 10), (5, 4)])
-def test_top_n_rejects_nan_on_every_path(n, max_in_memory):
-    records = [rec(i, 0.5) for i in range(20)] + [rec(20, float("nan"))]
-    with pytest.raises(ScoreDomainError, match="pair 20: combined score is NaN"):
-        select_top_n(records, n, max_in_memory=max_in_memory)
+def test_threshold_selection_holds_little_beyond_the_ids_it_returns():
+    tracemalloc.start()
+    try:
+        result = select_by_threshold(lazy_records(100_000, seed=7), 0.5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.selected_ids) > 40_000
+    assert peak < 1.25 * kept
 
 
 @settings(max_examples=40)
