@@ -207,12 +207,18 @@ def _cmd_train_tm(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    scorers = (
-        _sniff_scorer(args.fwd_model, "fwd"),
-        _sniff_scorer(args.rev_model, "rev"),
-        _sniff_scorer(args.in_lm, "in"),
-        _sniff_scorer(args.out_lm, "out"),
-    )
+    # The four files load side by side in the workers; their results are
+    # read in this order, so the first role that fails is the one reported.
+    roles = [
+        (args.fwd_model, "fwd"),
+        (args.rev_model, "rev"),
+        (args.in_lm, "in"),
+        (args.out_lm, "out"),
+    ]
+    with forked_map(
+        lambda role: _sniff_scorer(*role), roles, args.workers, lambda role: f"loading {role[0]}"
+    ) as loaded:
+        scorers = tuple(loaded)
     paths = _corpus_paths(args)
     session = _AtomicSession()
     n = score_corpus_to_file(

@@ -53,11 +53,10 @@ def tokenize(line: str, lowercase: bool = False) -> Sentence:
     return Sentence(tokens=text.split(), raw=line)
 
 
-def _iter_lines(path: str | Path, offset: int = 0, first_line: int = 1) -> Iterator[str]:
+def _iter_lines(path: str | Path) -> Iterator[str]:
     # Binary read so decode errors can name a byte offset within the line.
     with open(path, "rb") as fh:
-        fh.seek(offset)
-        for line_no, data in enumerate(fh, start=first_line):
+        for line_no, data in enumerate(fh, 1):
             try:
                 line = data.rstrip(b"\n").decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -114,30 +113,90 @@ def corpus_offsets(
     return n_src, list(zip(src_offsets, tgt_offsets))
 
 
-def _tsv_rows(path: str | Path, offset: int, first_line: int) -> Iterator[list[str]]:
-    for line_no, line in enumerate(_iter_lines(path, offset, first_line), first_line):
-        columns = line.split("\t")
-        if len(columns) != 2:
+def _tsv_pairs(
+    path: str | Path, offset: int, start: int, tokenized: bool, lowercase: bool
+) -> Iterator:
+    # Binary read, so a decode error can name a byte offset within its line.
+    # Faults are found by the exceptions they raise, not by a test per line.
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        try:
+            for pair_id, data in enumerate(fh, start):
+                src, tgt = data.rstrip(b"\n").decode().split("\t")
+                if tokenized:
+                    yield SentencePair(
+                        pair_id,
+                        Sentence((src.lower() if lowercase else src).split(), src),
+                        Sentence((tgt.lower() if lowercase else tgt).split(), tgt),
+                    )
+                else:
+                    yield src, tgt
+        except UnicodeDecodeError as exc:
             raise CorpusFormatError(
-                f"{path}: line {line_no}: expected 2 tab-separated "
-                f"columns, found {len(columns)}"
-            )
-        yield columns
+                f"{path}: line {pair_id + 1}: invalid UTF-8 at byte offset {exc.start}"
+            ) from exc
+        except ValueError:  # not two columns
+            found = data.count(b"\t") + 1
+            raise CorpusFormatError(
+                f"{path}: line {pair_id + 1}: expected 2 tab-separated columns, found {found}"
+            ) from None
 
 
-def _twin_rows(
-    src_path: str | Path, tgt_path: str | Path, offsets: tuple[int, ...], first_line: int
-) -> Iterator[tuple[str, str]]:
-    src_lines = _iter_lines(src_path, offsets[0], first_line)
-    tgt_lines = _iter_lines(tgt_path, offsets[1], first_line)
-    rows = itertools.zip_longest(src_lines, tgt_lines)
-    for line_no, (src, tgt) in enumerate(rows, first_line):
-        if src is None or tgt is None:
-            # Every earlier line matched, so the shorter file ended before this one.
-            _check_twin_lengths(
-                src_path, line_no - (src is None), tgt_path, line_no - (tgt is None)
-            )
-        yield src, tgt
+def _twin_pairs(
+    src_path: str | Path,
+    tgt_path: str | Path,
+    offsets: tuple[int, ...],
+    start: int,
+    tokenized: bool,
+    lowercase: bool,
+) -> Iterator:
+    with open(src_path, "rb") as fs, open(tgt_path, "rb") as ft:
+        fs.seek(offsets[0])
+        ft.seek(offsets[1])
+        try:
+            for pair_id, (s, t) in enumerate(zip(fs, ft, strict=True), start):
+                src = s.rstrip(b"\n").decode()
+                tgt = t.rstrip(b"\n").decode()
+                if tokenized:
+                    yield SentencePair(
+                        pair_id,
+                        Sentence((src.lower() if lowercase else src).split(), src),
+                        Sentence((tgt.lower() if lowercase else tgt).split(), tgt),
+                    )
+                else:
+                    yield src, tgt
+        except UnicodeDecodeError as exc:
+            # The source line is decoded first, so bytes equal to it are its own.
+            path = src_path if exc.object == s.rstrip(b"\n") else tgt_path
+            raise CorpusFormatError(
+                f"{path}: line {pair_id + 1}: invalid UTF-8 at byte offset {exc.start}"
+            ) from exc
+        except ValueError:  # strict zip: one file ended before the other
+            n_src, _ = count_lines(src_path, sys.maxsize)
+            n_tgt, _ = count_lines(tgt_path, sys.maxsize)
+            _check_twin_lengths(src_path, n_src, tgt_path, n_tgt)
+            raise
+
+
+def _pairs(
+    path: str | Path | None,
+    src_path: str | Path | None,
+    tgt_path: str | Path | None,
+    start: int,
+    count: int | None,
+    offsets: tuple[int, ...],
+    tokenized: bool,
+    lowercase: bool = False,
+) -> Iterator:
+    if path is not None:
+        if src_path is not None or tgt_path is not None:
+            raise CorpusFormatError("give either a TSV path or twin paths, not both")
+        pairs = _tsv_pairs(path, offsets[0], start, tokenized, lowercase)
+    elif src_path is None or tgt_path is None:
+        raise CorpusFormatError("twin-file corpus needs both source and target paths")
+    else:
+        pairs = _twin_pairs(src_path, tgt_path, offsets, start, tokenized, lowercase)
+    return pairs if count is None else itertools.islice(pairs, count)
 
 
 def read_rows(
@@ -155,15 +214,7 @@ def read_rows(
     :func:`corpus_offsets`. Twin files of different lengths fail when the
     shorter one ends.
     """
-    if path is not None:
-        if src_path is not None or tgt_path is not None:
-            raise CorpusFormatError("give either a TSV path or twin paths, not both")
-        rows = _tsv_rows(path, offsets[0], start + 1)
-    elif src_path is None or tgt_path is None:
-        raise CorpusFormatError("twin-file corpus needs both source and target paths")
-    else:
-        rows = _twin_rows(src_path, tgt_path, offsets, start + 1)
-    return itertools.islice(rows, count)
+    return _pairs(path, src_path, tgt_path, start, count, offsets, tokenized=False)
 
 
 def open_corpus(
@@ -175,12 +226,9 @@ def open_corpus(
     count: int | None = None,
     offsets: tuple[int, ...] = (0, 0),
 ) -> Iterator[SentencePair]:
-    """Stream the pairs of :func:`read_rows`, tokenized, with their ids."""
-    rows = read_rows(path, src_path, tgt_path, start, count, offsets)
-    return (
-        SentencePair(id=pair_id, src=tokenize(src, lowercase), tgt=tokenize(tgt, lowercase))
-        for pair_id, (src, tgt) in enumerate(rows, start)
-    )
+    """Stream the pairs of :func:`read_rows`, tokenized as :func:`tokenize`
+    does, with their ids."""
+    return _pairs(path, src_path, tgt_path, start, count, offsets, True, lowercase)
 
 
 def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:

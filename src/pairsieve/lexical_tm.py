@@ -194,13 +194,15 @@ def cond_cross_entropy(
     table = tm.table
     norm = len(cond_tokens)
     zeros = [0.0] * norm
-    log_probs = []
-    for g in y.tokens:
-        # One column fetch per generated token; fsum consumes the lookups in C.
+    log_prob = {}
+    for g in set(y.tokens):
+        # One column fetch per distinct generated word; fsum consumes the
+        # lookups in C.
         column = table.get(g, _EMPTY_COLUMN)
         mass = math.fsum(map(column.get, cond_tokens, zeros))
-        log_probs.append(math.log(max(mass / norm, PROB_FLOOR)))
-    return -math.fsum(log_probs) / len(y.tokens)
+        log_prob[g] = math.log(max(mass / norm, PROB_FLOOR))
+    # fsum is exact, so the order the words were scored in cannot show.
+    return -math.fsum(map(log_prob.__getitem__, y.tokens)) / len(y.tokens)
 
 
 def save_tm(tm: LexicalTranslationModel, path: str | Path) -> None:

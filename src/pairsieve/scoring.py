@@ -60,12 +60,25 @@ class ScoreRecord:
     flags: tuple[str, ...] = ()
 
 
-def _check_entropies(*values: float) -> None:
+def _check_entropies(*values: float, where: str = "") -> None:
     for v in values:
-        if not math.isfinite(v) or v < 0:
+        if not 0.0 <= v < math.inf:  # false for nan too
             raise ScoreDomainError(
-                f"cross-entropy inputs must be finite and >= 0, got {v!r}"
+                f"{where}cross-entropy inputs must be finite and >= 0, got {v!r}"
             )
+
+
+def _dual(h_fwd: float, h_rev: float) -> float:
+    return abs(h_fwd - h_rev) + (h_fwd + h_rev) / 2
+
+
+def _partial_scores(
+    h_fwd: float, h_rev: float, h_in: float, h_out: float, trusted: bool
+) -> tuple[float, float]:
+    """adq and dom of four checked cross-entropies, the one place either is
+    computed. A trusted pair's adq is 1 by fiat."""
+    adq = 1.0 if trusted else math.exp(-_dual(h_fwd, h_rev))
+    return adq, math.exp(min(h_out - h_in, 0.0))
 
 
 def dual_score(h_fwd: float, h_rev: float) -> float:
@@ -75,19 +88,20 @@ def dual_score(h_fwd: float, h_rev: float) -> float:
     directions, the average penalizes pairs both directions find improbable.
     """
     _check_entropies(h_fwd, h_rev)
-    return abs(h_fwd - h_rev) + (h_fwd + h_rev) / 2
+    return _dual(h_fwd, h_rev)
 
 
 def adequacy(h_fwd: float, h_rev: float) -> float:
     """exp of the negated dual score; in (0, 1], and 1 iff both inputs are 0."""
-    return math.exp(-dual_score(h_fwd, h_rev))
+    _check_entropies(h_fwd, h_rev)
+    return _partial_scores(h_fwd, h_rev, 0.0, 0.0, False)[0]
 
 
 def domain_score(h_in: float, h_out: float) -> float:
     """min(exp(h_out - h_in), 1): how many times less perplexing the target
     sentence is to the in-domain model, clipped from above at 1."""
     _check_entropies(h_in, h_out)
-    return math.exp(min(h_out - h_in, 0.0))
+    return _partial_scores(0.0, 0.0, h_in, h_out, True)[1]
 
 
 def make_record(
@@ -103,40 +117,9 @@ def make_record(
     Trusted pairs keep their measured h_fwd/h_rev but carry adq = 1 exactly,
     so their combined score is just the domain multiplier.
     """
-    _check_entropies(h_fwd, h_rev)
-    adq = 1.0 if trusted else adequacy(h_fwd, h_rev)
-    dom = domain_score(h_in, h_out)
-    return ScoreRecord(
-        pair_id=pair_id,
-        h_fwd=h_fwd,
-        h_rev=h_rev,
-        h_in=h_in,
-        h_out=h_out,
-        adq=adq,
-        dom=dom,
-        combined=adq * dom,
-        trusted=trusted,
-    )
-
-
-def _degenerate_record(
-    pair_id: int, trusted: bool, flags: tuple[str, ...]
-) -> ScoreRecord:
-    # Dirty pairs are scored 0 and flagged rather than aborting the run:
-    # a filtering pass has to survive the noise it exists to remove.
-    nan = float("nan")
-    return ScoreRecord(
-        pair_id=pair_id,
-        h_fwd=nan,
-        h_rev=nan,
-        h_in=nan,
-        h_out=nan,
-        adq=0.0,
-        dom=0.0,
-        combined=0.0,
-        trusted=trusted,
-        flags=flags,
-    )
+    _check_entropies(h_fwd, h_rev, h_in, h_out)
+    adq, dom = _partial_scores(h_fwd, h_rev, h_in, h_out, trusted)
+    return ScoreRecord(pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, adq * dom, trusted)
 
 
 def diagnostic_flags(pair: SentencePair, max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple[str, ...]:
@@ -152,6 +135,51 @@ def diagnostic_flags(pair: SentencePair, max_tokens: int = DEFAULT_MAX_TOKENS) -
     return tuple(flags)
 
 
+def _score_fields(
+    pairs: Iterable[SentencePair],
+    fwd_scorer: Scorer,
+    rev_scorer: Scorer,
+    in_scorer: Scorer,
+    out_scorer: Scorer,
+    max_tokens: int,
+    trusted: bool,
+) -> Iterator[tuple]:
+    """The one per-pair scoring loop: each pair's score-line fields, in
+    :data:`SCORE_HEADER` order, flags as the line writes them.
+
+    Dirty pairs are scored 0 with nan cross-entropies and flagged rather than
+    aborting the run: a filtering pass has to survive the noise it exists to
+    remove.
+    """
+    nan = math.nan
+    inf = math.inf
+    flag_head = ("trusted",) if trusted else ()
+    clean = "trusted" if trusted else "-"
+    for pair in pairs:
+        src = pair.src.tokens
+        tgt = pair.tgt.tokens
+        if not src or not tgt or len(src) > max_tokens or len(tgt) > max_tokens:
+            flags = ",".join(flag_head + diagnostic_flags(pair, max_tokens))
+            yield pair.id, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags
+            continue
+        try:
+            h_fwd = fwd_scorer(pair)
+            h_rev = rev_scorer(pair)
+            h_in = in_scorer(pair)
+            h_out = out_scorer(pair)
+        except ScoringError:
+            raise
+        except Exception as exc:
+            raise ScoringError(f"scorer failed on pair {pair.id}: {exc}") from exc
+        # The test of _check_entropies, inlined: it raises only on a fault.
+        if not (
+            0.0 <= h_fwd < inf and 0.0 <= h_rev < inf and 0.0 <= h_in < inf and 0.0 <= h_out < inf
+        ):
+            _check_entropies(h_fwd, h_rev, h_in, h_out, where=f"pair {pair.id}: ")
+        adq, dom = _partial_scores(h_fwd, h_rev, h_in, h_out, trusted)
+        yield pair.id, h_fwd, h_rev, h_in, h_out, adq, dom, adq * dom, clean
+
+
 def score_pair(
     pair: SentencePair,
     fwd_scorer: Scorer,
@@ -161,22 +189,10 @@ def score_pair(
     max_tokens: int = DEFAULT_MAX_TOKENS,
     trusted: bool = False,
 ) -> ScoreRecord:
-    flags = diagnostic_flags(pair, max_tokens)
-    if flags:
-        return _degenerate_record(pair.id, trusted, flags)
-    try:
-        h_fwd = fwd_scorer(pair)
-        h_rev = rev_scorer(pair)
-        h_in = in_scorer(pair)
-        h_out = out_scorer(pair)
-    except ScoringError:
-        raise
-    except Exception as exc:
-        raise ScoringError(f"scorer failed on pair {pair.id}: {exc}") from exc
-    try:
-        return make_record(pair.id, h_fwd, h_rev, h_in, h_out, trusted=trusted)
-    except ScoreDomainError as exc:
-        raise ScoreDomainError(f"pair {pair.id}: {exc}") from None
+    (record,) = score_corpus(
+        (pair,), fwd_scorer, rev_scorer, in_scorer, out_scorer, max_tokens, trusted
+    )
+    return record
 
 
 def score_corpus(
@@ -189,8 +205,11 @@ def score_corpus(
     trusted: bool = False,
 ) -> Iterator[ScoreRecord]:
     """One ScoreRecord per pair, in id order, single streaming pass."""
-    for pair in corpus:
-        yield score_pair(pair, fwd_scorer, rev_scorer, in_scorer, out_scorer, max_tokens, trusted)
+    scorers = (fwd_scorer, rev_scorer, in_scorer, out_scorer)
+    for fields in _score_fields(corpus, *scorers, max_tokens, trusted):
+        # The flags field is "-", or "trusted" if set, then the diagnostic flags.
+        flags = () if fields[8] == "-" else tuple(fields[8].split(","))
+        yield ScoreRecord(*fields[:8], trusted, flags[1:] if trusted else flags)
 
 
 class Model1Scorer:
@@ -228,9 +247,14 @@ class TableScorer:
         return self.table.lookup(pair.id)
 
 
+# One score line, without its newline.
+_RECORD_FORMAT = "%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%s"
+_LINE_FORMAT = _RECORD_FORMAT + "\n"
+
+
 def format_record(record: ScoreRecord) -> str:
     flags = (("trusted",) if record.trusted else ()) + record.flags
-    return "%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%s" % (
+    return _RECORD_FORMAT % (
         record.pair_id,
         record.h_fwd,
         record.h_rev,
@@ -366,8 +390,8 @@ def score_corpus_to_file(
     def score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:
         start, count, offsets = shard
         pairs = open_corpus(path, src_path, tgt_path, lowercase, start, count, offsets)
-        records = score_corpus(pairs, *scorers, max_tokens, trusted)
-        return "".join(format_record(record) + "\n" for record in records)
+        fields = _score_fields(pairs, *scorers, max_tokens, trusted)
+        return "".join(map(_LINE_FORMAT.__mod__, fields))
 
     n_written = 0
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import pickle
+import random
 import re
 import signal
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pairsieve import cli, corpus
+from pairsieve import cli, corpus, scoring
 from pairsieve.cli import PipelineConfig, build_parser, main, parse_config_file
 from pairsieve.corpus import write_parallel
 from pairsieve.errors import ConfigError, PairsieveError, TrainingError
@@ -943,6 +944,21 @@ def test_pipeline_fails_cleanly_when_reverse_training_fails(
         os.waitpid(-1, os.WNOHANG)
 
 
+class KillAt:
+    """A scorer that kills the process scoring pair ``killed_at`` unless it is
+    ``parent``. It is a module-level class, so it pickles back from the
+    worker that loads the scorer files."""
+
+    def __init__(self, killed_at, parent):
+        self.killed_at = killed_at
+        self.parent = parent
+
+    def __call__(self, pair):
+        if pair.id == self.killed_at and os.getpid() != self.parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 1.0
+
+
 @pytest.mark.parametrize(
     "n, killed_at, lost",
     [
@@ -956,13 +972,7 @@ def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch, n
     finished; it leaves only .partial output and no child process."""
     for side in ("src", "tgt"):
         (tmp_path / f"c.{side}").write_text(f"{side} words here\n" * n, encoding="utf-8")
-    parent = os.getpid()
-
-    def scorer(pair):
-        if pair.id == killed_at and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return 1.0
-
+    scorer = KillAt(killed_at, os.getpid())
     monkeypatch.setattr(cli, "_sniff_scorer", lambda path, role: scorer)
     faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
     try:
@@ -977,6 +987,110 @@ def test_score_fails_cleanly_when_a_worker_dies(tmp_path, caplog, monkeypatch, n
     (record,) = caplog.records
     assert record.message == f"scoring pairs {lost}: a worker process died"
     assert [p.name for p in tmp_path.glob("s.tsv*")] == ["s.tsv.partial"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _write_table(path, values):
+    path.write_text("".join(f"{i}\t{v}\n" for i, v in enumerate(values)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trusted", [False, True], ids=["candidate", "trusted"])
+@pytest.mark.parametrize("kind", ["models", "tables"])
+def test_score_lines_equal_the_formatted_records_of_score_pair(
+    workdir, tmp_path, monkeypatch, kind, trusted, workers
+):
+    """Every line score writes is format_record(score_pair(...)) of its pair:
+    clean, blank and overlength pairs alike, over many small shards."""
+    monkeypatch.setattr(scoring, "OFFSET_GRANULE", 10)
+    monkeypatch.setattr(scoring, "MAX_SHARD_LINES", 20)
+    rows = list(corpus.read_rows(src_path=workdir / "cand.src", tgt_path=workdir / "cand.tgt"))
+    long = " ".join(["w"] * 13)  # the clean pairs have at most 12 tokens a side
+    for k, row in enumerate([("", "b"), ("a", " "), (long, "c"), ("d", long), ("", long)]):
+        rows.insert(7 + 23 * k, row)
+    n = len(rows)
+    write_parallel(
+        ((i, s, t) for i, (s, t) in enumerate(rows)), tmp_path / "c.src", tmp_path / "c.tgt"
+    )
+    if kind == "models":
+        files = model_args(workdir)
+    else:
+        rng = random.Random(3)
+        files = []
+        for flag, role in zip(model_args(workdir)[::2], ("fwd", "rev", "in", "out")):
+            _write_table(tmp_path / f"{role}.tab", [rng.uniform(0, 9) for _ in range(n)])
+            files += [flag, tmp_path / f"{role}.tab"]
+    out = tmp_path / "s.tsv"
+    code = run_cli(
+        "score", "--in-src", tmp_path / "c.src", "--in-tgt", tmp_path / "c.tgt", *files,
+        "--out", out, "--max-tokens", 12, "--workers", workers, *(["--trusted"] if trusted else []),
+    )
+    assert code == 0
+    scorers = [
+        cli._sniff_scorer(str(path), role)
+        for path, role in zip(files[1::2], ("fwd", "rev", "in", "out"))
+    ]
+    pairs = corpus.open_corpus(src_path=tmp_path / "c.src", tgt_path=tmp_path / "c.tgt")
+    expected = [
+        format_record(scoring.score_pair(pair, *scorers, max_tokens=12, trusted=trusted))
+        for pair in pairs
+    ]
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines == ["\t".join(SCORE_HEADER), *expected]
+    flags = {f for line in lines[1:] for f in line.rsplit("\t", 1)[1].split(",")}
+    assert flags == {"blank_src", "blank_tgt", "overlength_src", "overlength_tgt"} | (
+        {"trusted"} if trusted else {"-"}
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_score_reports_the_first_failing_role_in_role_order(workdir, tmp_path, caplog, workers):
+    """With bad rev and out files, score names the rev file at any worker
+    count, though out's much smaller file fails first when they load side
+    by side."""
+    bad_rev = tmp_path / "rev.tab"
+    _write_table(bad_rev, [1.0] * 50_000 + ["x"])
+    bad_out = tmp_path / "out.tab"
+    bad_out.write_text("zz\n", encoding="utf-8")
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--fwd-model", workdir / "fwd.tm", "--rev-model", bad_rev,
+        "--in-lm", workdir / "in.lm", "--out-lm", bad_out,
+        "--out", tmp_path / "s.tsv", "--workers", workers,
+    )
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message.startswith(f"{bad_rev}: line 50001: ")
+    assert not list(tmp_path.glob("s.tsv*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_loader_that_dies_is_named_by_its_file(workdir, tmp_path, caplog, monkeypatch):
+    """A worker killed while it loads a scorer file ends score with exit 1
+    and one line naming the file, and leaves no child process."""
+    for role in ("fwd", "rev", "in", "out"):
+        _write_table(tmp_path / f"{role}.tab", [1.0] * 120)
+    parent = os.getpid()
+    load = cli.load_external_scores
+
+    def dying_load(path):
+        if path == str(tmp_path / "rev.tab") and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_external_scores", dying_load)
+    code = run_cli(
+        "score", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--fwd-model", tmp_path / "fwd.tab", "--rev-model", tmp_path / "rev.tab",
+        "--in-lm", tmp_path / "in.tab", "--out-lm", tmp_path / "out.tab",
+        "--out", tmp_path / "s.tsv", "--workers", 2,
+    )
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == f"loading {tmp_path / 'rev.tab'}: a worker process died"
+    assert not list(tmp_path.glob("s.tsv*"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

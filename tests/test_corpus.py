@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsieve.corpus import (
+    corpus_offsets,
     open_corpus,
+    read_rows,
     sample,
     tokenize,
     write_parallel,
@@ -72,6 +74,51 @@ def test_read_parallel_exhaustion_check_without_eager(tmp_path):
     expected = f"first unmatched line is 4 of {tmp_path / 'c.src'}"
     with pytest.raises(CorpusFormatError, match=re.escape(expected)):
         next(stream)
+
+
+def _raw_lines(reader, **paths):
+    if reader is open_corpus:
+        return [(p.src.raw, p.tgt.raw) for p in open_corpus(**paths)]
+    return list(reader(**paths))
+
+
+@pytest.mark.parametrize("reader", [open_corpus, read_rows], ids=["open_corpus", "read_rows"])
+@pytest.mark.parametrize("short", ["src", "tgt"])
+def test_a_twin_file_one_line_short_names_the_first_unmatched_line(tmp_path, reader, short):
+    paths = {"src_path": tmp_path / "c.src", "tgt_path": tmp_path / "c.tgt"}
+    for side, path in paths.items():
+        _write(path, [f"{side} {i}" for i in range(3 if side.startswith(short) else 4)])
+    longer = paths["tgt_path" if short == "src" else "src_path"]
+    shorter = paths[f"{short}_path"]
+    expected = (
+        f"line-count mismatch: {longer} continues past the last line of {shorter}; "
+        f"first unmatched line is 4 of {longer}"
+    )
+    with pytest.raises(CorpusFormatError) as info:
+        _raw_lines(reader, **paths)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("reader", [open_corpus, read_rows], ids=["open_corpus", "read_rows"])
+@pytest.mark.parametrize("bad_side", ["src", "tgt"])
+def test_invalid_utf8_at_a_shards_first_line_names_that_line(tmp_path, reader, bad_side):
+    """A shard starts at a recorded byte offset; a bad byte on its first line
+    names the file, the line's number in the whole file and the byte offset."""
+    paths = {"src_path": tmp_path / "c.src", "tgt_path": tmp_path / "c.tgt"}
+    for side, path in paths.items():
+        lines = [f"{side} line {i}".encode() for i in range(6)]
+        if side == f"{bad_side}_path":
+            lines[4] = b"ok \xff" + lines[4]
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+    n, offsets = corpus_offsets(**paths, every=2)
+    assert n == 6
+    # Pairs 0-3 read cleanly; the shard of pairs 4-5 fails on its first line.
+    assert len(_raw_lines(reader, **paths, count=4)) == 4
+    shard = {"start": 4, "count": 2, "offsets": offsets[2]}
+    with pytest.raises(CorpusFormatError) as info:
+        _raw_lines(reader, **paths, **shard)
+    bad = paths[f"{bad_side}_path"]
+    assert str(info.value) == f"{bad}: line 5: invalid UTF-8 at byte offset 3"
 
 
 def test_read_tsv_pair(tmp_path):

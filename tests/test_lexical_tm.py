@@ -457,6 +457,41 @@ def test_gen_major_kernel_equals_cond_major_reference(case):
     )
 
 
+def per_token_cond_cross_entropy(tm, x, y):
+    """The kernel before its per-sentence memo: one column fetch and one log
+    per generated token, repeated words included."""
+    cond_tokens = [NULL] + x.tokens if tm.use_null else x.tokens
+    norm = len(cond_tokens)
+    zeros = [0.0] * norm
+    log_probs = []
+    for g in y.tokens:
+        column = tm.table.get(g, {})
+        mass = math.fsum(map(column.get, cond_tokens, zeros))
+        log_probs.append(math.log(max(mass / norm, PROB_FLOOR)))
+    return -math.fsum(log_probs) / len(y.tokens)
+
+
+@pytest.mark.parametrize("use_null", [True, False])
+def test_memoised_kernel_scores_repeated_words_as_the_per_token_loop(use_null):
+    """Each distinct generated word is scored once per sentence; fsum is
+    exact, so every float equals the per-token loop's."""
+    rng = random.Random(5)
+    words = [f"w{i}" for i in range(12)]
+    weights = [1 / (rank + 1) for rank in range(12)]
+
+    def sentence():
+        # Few words drawn with Zipf-like weights, so many sentences repeat one.
+        return " ".join(rng.choices(words, weights, k=rng.randint(1, 9)))
+
+    corpus = [pair(i, sentence(), sentence()) for i in range(200)]
+    model, _ = train_model1(corpus, iterations=3, use_null=use_null)
+    # Every generated sentence repeats at least the unseen word.
+    cases = [(tokenize(sentence()), tokenize(sentence() + " oov oov")) for _ in range(300)]
+    cases.append((tokenize("w0 w1"), tokenize("w0 w0 w0 w1 w0 w1 w1")))
+    for x, y in cases:
+        assert cond_cross_entropy(model, x, y) == per_token_cond_cross_entropy(model, x, y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
