@@ -201,7 +201,8 @@ def cond_cross_entropy(
         column = table.get(g, _EMPTY_COLUMN)
         mass = math.fsum(map(column.get, cond_tokens, zeros))
         log_prob[g] = math.log(max(mass / norm, PROB_FLOOR))
-    # fsum is exact, so the order the words were scored in cannot show.
+    # Each repeat adds its word's one value; fsum is exact, so the sum is the
+    # float a log per token would give.
     return -math.fsum(map(log_prob.__getitem__, y.tokens)) / len(y.tokens)
 
 
