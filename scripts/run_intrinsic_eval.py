@@ -68,9 +68,8 @@ def main() -> int:
     )
     labels = labels_of(labeled_eval)
     report = evaluate_filter(records, labels)
-    clean_by_id = {l.pair_id: l.clean for l in labels}
-    auc_adq = ranking_auc([(r.adq, clean_by_id[r.pair_id]) for r in records])
-    auc_dom = ranking_auc([(r.dom, clean_by_id[r.pair_id]) for r in records])
+    auc_adq = ranking_auc([(r.adq, labels[r.pair_id] is None) for r in records])
+    auc_dom = ranking_auc([(r.dom, labels[r.pair_id] is None) for r in records])
 
     print(f"pairs\t{report.n}")
     print(f"clean\t{report.n_clean}")

@@ -64,7 +64,6 @@ from .scoring import (
     LmScorer,
     Model1Scorer,
     Scorer,
-    TableScorer,
     read_score_file,
     score_corpus_to_file,
 )
@@ -148,7 +147,7 @@ def _sniff_scorer(path: str, role: str) -> Scorer:
                 "translation scorer"
             )
         return LmScorer(load_lm(path))
-    return TableScorer(load_external_scores(path))
+    return load_external_scores(path)
 
 
 def _add_corpus_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -291,6 +290,8 @@ def _parse_mix(text: str) -> dict[NoiseKind, float]:
             raise ConfigError(
                 f"unknown corruption kind {key!r}; choices: {sorted(kinds)}"
             )
+        if kinds[key] in mix:
+            raise ConfigError(f"corruption kind {key!r} is given twice in --mix")
         try:
             mix[kinds[key]] = float(value)
         except ValueError:

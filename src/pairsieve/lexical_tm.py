@@ -265,7 +265,8 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
 
 
 class ExternalScoreTable:
-    """Precomputed per-pair cross-entropies, queried by pair id.
+    """Precomputed per-pair cross-entropies, queried by pair id; called on a
+    pair, the table is that pair's scorer.
 
     The bridge for scores produced outside the toolkit (for example by neural
     translation models). Scores must use the shared convention: nats per
@@ -279,6 +280,16 @@ class ExternalScoreTable:
 
     def __len__(self) -> int:
         return len(self._scores)
+
+    def __call__(self, pair: SentencePair) -> float:
+        # One frame per score: only an id off the table goes on to lookup.
+        pair_id = pair.id
+        if pair_id >= 0:
+            try:
+                return self._scores[pair_id]
+            except IndexError:
+                pass
+        return self.lookup(pair_id)
 
     def lookup(self, pair_id: int) -> float:
         if 0 <= pair_id < len(self._scores):

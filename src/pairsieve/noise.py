@@ -49,18 +49,28 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigError(f"noise rate must be in [0, 1], got {self.rate!r}")
-        if any(p < 0 for p in self.mix.values()):
-            raise ConfigError("mix proportions must be >= 0")
+        for kind, p in self.mix.items():
+            if not 0.0 <= p < math.inf:  # false for nan too
+                raise ConfigError(
+                    f"mix proportion {p!r} for {kind.value!r} must be finite and >= 0"
+                )
         total = math.fsum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"mix proportions must sum to 1, got {total!r}")
 
 
+# A pair id's corruption kind, None for a clean pair, in id or file order.
+Labels = dict[int, NoiseKind | None]
+
+
 @dataclass
 class LabeledPair:
     pair: SentencePair
-    clean: bool
     kind: NoiseKind | None = None
+
+    @property
+    def clean(self) -> bool:
+        return self.kind is None
 
 
 def _made_sentence(tokens: list[str]) -> Sentence:
@@ -132,7 +142,7 @@ def inject_noise(
     out: list[LabeledPair] = []
     for pair in by_id:
         if pair.id not in kind_of:
-            out.append(LabeledPair(pair=pair, clean=True))
+            out.append(LabeledPair(pair=pair))
             continue
         kind = kind_of[pair.id]
         rng = _pair_rng(spec.seed, pair.id, "corrupt")
@@ -153,39 +163,26 @@ def inject_noise(
         else:
             new_tgt = rng.choice(third_language)
         corrupted = SentencePair(id=pair.id, src=src, tgt=new_tgt)
-        out.append(LabeledPair(pair=corrupted, clean=False, kind=kind))
+        out.append(LabeledPair(pair=corrupted, kind=kind))
     return out
 
 
-@dataclass
-class PairLabel:
-    pair_id: int
-    clean: bool
-    kind: NoiseKind | None = None
+def labels_of(labeled: Iterable[LabeledPair]) -> Labels:
+    return {lp.pair.id: lp.kind for lp in labeled}
 
 
-def labels_of(labeled: Iterable[LabeledPair]) -> list[PairLabel]:
-    return [
-        PairLabel(pair_id=lp.pair.id, clean=lp.clean, kind=lp.kind) for lp in labeled
-    ]
-
-
-def write_labels(labels: Iterable[PairLabel], path: str | Path) -> int:
-    n = 0
+def write_labels(labels: Labels, path: str | Path) -> int:
     with open(path, "w", encoding="utf-8") as fh:
-        for label in labels:
-            status = "clean" if label.clean else "corrupted"
-            kind = label.kind.value if label.kind is not None else "-"
-            fh.write(f"{label.pair_id}\t{status}\t{kind}\n")
-            n += 1
-    return n
+        for pair_id, kind in labels.items():
+            status, name = ("clean", "-") if kind is None else ("corrupted", kind.value)
+            fh.write(f"{pair_id}\t{status}\t{name}\n")
+    return len(labels)
 
 
-def read_labels(path: str | Path) -> list[PairLabel]:
+def read_labels(path: str | Path) -> Labels:
     """Labels from ``id<TAB>clean|corrupted<TAB>kind`` lines. A clean pair's
     kind is ``-``; a corrupted pair names one of the NoiseKind values."""
-    labels = []
-    line_of_id: dict[int, int] = {}
+    labels: Labels = {}
     kinds = {kind.value: kind for kind in NoiseKind}
     with numbered_lines(path, StructuralError) as lines:
         for line_no, line in lines:
@@ -200,11 +197,11 @@ def read_labels(path: str | Path) -> list[PairLabel]:
                 raise StructuralError(
                     f"{path}: line {line_no}: non-integer id {parts[0]!r}"
                 ) from None
-            if pair_id in line_of_id:
+            if pair_id in labels:
+                first = list(labels).index(pair_id) + 1  # each line before holds one id
                 raise StructuralError(
-                    f"{path}: line {line_no}: id {pair_id} repeats line {line_of_id[pair_id]}"
+                    f"{path}: line {line_no}: id {pair_id} repeats line {first}"
                 )
-            line_of_id[pair_id] = line_no
             clean = parts[1] == "clean"
             if clean != (parts[2] == "-"):
                 raise StructuralError(
@@ -215,7 +212,7 @@ def read_labels(path: str | Path) -> list[PairLabel]:
                 raise StructuralError(
                     f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
                 )
-            labels.append(PairLabel(pair_id=pair_id, clean=clean, kind=kinds.get(parts[2])))
+            labels[pair_id] = kinds.get(parts[2])
     return labels
 
 
@@ -257,49 +254,49 @@ def ranking_auc(scored: list[tuple[float, bool]]) -> float:
     return u / (n_clean * n_corrupted)
 
 
-def _id_mismatch(rec_ids: Counter[int], lab_ids: Counter[int]) -> str:
-    """Why the score file and the labels file do not hold the same ids, each
-    once: for each side, the least id it repeats and the least id it lacks."""
+def _id_mismatch(rec_ids: Counter[int], labels: Labels) -> str:
+    """Why the score file and the labels do not hold the same ids, each once:
+    the least id the score file repeats, and for each side the least id it
+    lacks. Only the score file can repeat an id."""
     faults = []
-    for side, ids, other in (("score file", rec_ids, lab_ids), ("labels file", lab_ids, rec_ids)):
-        repeated = [pair_id for pair_id, n in ids.items() if n > 1]
-        if repeated:
-            faults.append(f"the {side} repeats id {min(repeated)}")
-        missing = other.keys() - ids.keys()
+    repeated = [pair_id for pair_id, n in rec_ids.items() if n > 1]
+    if repeated:
+        faults.append(f"the score file repeats id {min(repeated)}")
+    for side, ids, other in (
+        ("score file", rec_ids.keys(), labels.keys()),
+        ("labels file", labels.keys(), rec_ids.keys()),
+    ):
+        missing = other - ids
         if missing:
             more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
             faults.append(f"the {side} lacks id {min(missing)}{more}")
     return "; ".join(faults)
 
 
-def evaluate_filter(
-    records: Iterable[ScoreRecord], labels: Iterable[PairLabel]
-) -> FilterReport:
+def evaluate_filter(records: Iterable[ScoreRecord], labels: Labels) -> FilterReport:
     """Score the filter against ground truth: AUC, precision/recall at the
     clean count, and mean combined score per corruption kind."""
     records = list(records)
-    labels = list(labels)
     rec_ids = Counter(r.pair_id for r in records)
-    lab_ids = Counter(l.pair_id for l in labels)
-    if rec_ids != lab_ids:
-        raise StructuralError(f"score/label id mismatch: {_id_mismatch(rec_ids, lab_ids)}")
-    label_by_id = {l.pair_id: l for l in labels}
+    # Equal id sets and equal sizes: the score file holds each id once.
+    if rec_ids.keys() != labels.keys() or len(records) != len(labels):
+        raise StructuralError(f"score/label id mismatch: {_id_mismatch(rec_ids, labels)}")
 
-    scored = [(r.combined, label_by_id[r.pair_id].clean) for r in records]
+    scored = [(r.combined, labels[r.pair_id] is None) for r in records]
     n_clean = sum(1 for _, clean in scored if clean)
     n_corrupted = len(scored) - n_clean
     auc = ranking_auc(scored)
 
     top = select_top_n(records, n_clean).selected_ids
-    clean_in_top = sum(1 for pair_id in top if label_by_id[pair_id].clean)
+    clean_in_top = sum(1 for pair_id in top if labels[pair_id] is None)
     # With as many pairs taken as there are clean ones, precision is recall.
     precision = recall = clean_in_top / n_clean if n_clean else 0.0
 
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for r in records:
-        label = label_by_id[r.pair_id]
-        key = "clean" if label.clean else label.kind.value
+        kind = labels[r.pair_id]
+        key = "clean" if kind is None else kind.value
         sums[key] = sums.get(key, 0.0) + r.combined
         counts[key] = counts.get(key, 0) + 1
     means = {key: sums[key] / counts[key] for key in sums}

@@ -122,17 +122,11 @@ def make_record(
     return ScoreRecord(pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, adq * dom, trusted)
 
 
-def diagnostic_flags(pair: SentencePair, max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple[str, ...]:
-    flags = []
-    if pair.src.is_blank:
-        flags.append("blank_src")
-    if pair.tgt.is_blank:
-        flags.append("blank_tgt")
-    if len(pair.src.tokens) > max_tokens:
-        flags.append("overlength_src")
-    if len(pair.tgt.tokens) > max_tokens:
-        flags.append("overlength_tgt")
-    return tuple(flags)
+def diagnostic_flags(pair: SentencePair, max_tokens: int) -> tuple[str, ...]:
+    """The flags of :data:`_DIAG_FLAGS` that the pair raises, in that order."""
+    src, tgt = pair.src, pair.tgt
+    hits = (src.is_blank, tgt.is_blank, len(src.tokens) > max_tokens, len(tgt.tokens) > max_tokens)
+    return tuple(flag for flag, hit in zip(_DIAG_FLAGS, hits) if hit)
 
 
 def _score_fields(
@@ -235,16 +229,6 @@ class LmScorer:
 
     def __call__(self, pair: SentencePair) -> float:
         return cross_entropy(self.lm, pair.tgt)
-
-
-class TableScorer:
-    """Cross-entropy lookup from an external score table, keyed by pair id."""
-
-    def __init__(self, table: ExternalScoreTable):
-        self.table = table
-
-    def __call__(self, pair: SentencePair) -> float:
-        return self.table.lookup(pair.id)
 
 
 # One score line, without its newline.
@@ -381,10 +365,9 @@ def score_corpus_to_file(
     ]
     scorers = (fwd_scorer, rev_scorer, in_scorer, out_scorer)
     for scorer in scorers:
-        if isinstance(scorer, TableScorer) and len(scorer.table) != n_pairs:
+        if isinstance(scorer, ExternalScoreTable) and len(scorer) != n_pairs:
             raise ExternalScoreError(
-                f"{scorer.table.source}: {len(scorer.table)} scores for a corpus "
-                f"of {n_pairs} pairs"
+                f"{scorer.source}: {len(scorer)} scores for a corpus of {n_pairs} pairs"
             )
 
     def score_shard(shard: tuple[int, int, tuple[int, ...]]) -> str:

@@ -23,7 +23,7 @@ from pairsieve.errors import ConfigError, PairsieveError, TrainingError
 from pairsieve.forked import ChildTraceback, forked_map
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
-from pairsieve.noise import read_labels
+from pairsieve.noise import read_labels, write_labels
 from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
@@ -401,7 +401,9 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
     )
     assert code == 0
     labels = read_labels(tmp_path / "labels.tsv")
-    assert sum(1 for l in labels if not l.clean) == 30
+    assert sum(1 for kind in labels.values() if kind is not None) == 30
+    write_labels(labels, tmp_path / "labels.again.tsv")
+    assert (tmp_path / "labels.again.tsv").read_bytes() == (tmp_path / "labels.tsv").read_bytes()
 
     out = tmp_path / "noisy.scores.tsv"
     assert run_cli(
@@ -471,6 +473,28 @@ def test_corrupt_mix_without_third_language_fails(workdir, tmp_path):
         "--out-prefix", tmp_path / "n2", "--labels", tmp_path / "l2.tsv",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "mix, message",
+    [
+        ("misalign=0.5,shuffle=0.5,misalign=0.5",
+         "corruption kind 'misalign' is given twice in --mix"),
+        ("misalign=nan,shuffle=1", "mix proportion nan for 'misalign' must be finite and >= 0"),
+        ("shuffle=inf,truncate=1", "mix proportion inf for 'shuffle' must be finite and >= 0"),
+        ("truncate=-0.5,shuffle=1.5",
+         "mix proportion -0.5 for 'truncate' must be finite and >= 0"),
+    ],
+    ids=["repeated-kind", "nan", "inf", "negative"],
+)
+def test_corrupt_names_the_kind_of_a_bad_mix(workdir, tmp_path, caplog, mix, message):
+    code = run_cli(
+        "corrupt", "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt",
+        "--mix", mix, "--out-prefix", tmp_path / "n", "--labels", tmp_path / "l.tsv",
+    )
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == message
 
 
 def test_stats_median_and_deciles(tmp_path, capsys):
@@ -1370,6 +1394,25 @@ def test_intrinsic_eval_script_reports_each_auc():
     for name in ("auc_combined", "auc_adq_alone", "auc_dom_alone"):
         assert 0.0 <= float(report[name]) <= 1.0
     assert int(report["pairs"]) == 300
+
+
+def test_artifact_digests_repeat_and_agree_across_worker_counts():
+    """scripts/artifact_digests.py prints the same digests on a second run,
+    and `score` writes the same bytes at 1, 2 and 4 workers."""
+    runs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "artifact_digests.py"),
+             "--seed", "3", "--pairs", "300"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    digests = runs[0]
+    for kind in ("models", "tables"):
+        assert len({digests[f"scores.{kind}.w{w}.tsv"] for w in (1, 2, 4)}) == 1
 
 
 class TrackedSample(list):

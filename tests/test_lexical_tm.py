@@ -235,6 +235,17 @@ def test_external_scores_missing_id_on_query(tmp_path):
         table.lookup(1)
 
 
+@pytest.mark.parametrize("bad_id", [-1, 2, 7])
+def test_a_table_called_on_a_pair_scores_it(bad_id):
+    table = ExternalScoreTable([1.5, 0.25])
+    assert [table(pair(i, "a", "b")) for i in (0, 1)] == [1.5, 0.25]
+    with pytest.raises(ExternalScoreError) as info:
+        table(pair(bad_id, "a", "b"))
+    assert str(info.value) == (
+        f"pair id {bad_id} not covered by the external score table (ids 0..1)"
+    )
+
+
 def test_external_scores_duplicate_id(tmp_path):
     (tmp_path / "s.tsv").write_text("0\t1.5\n0\t2.0\n", encoding="utf-8")
     with pytest.raises(ExternalScoreError, match="duplicate"):

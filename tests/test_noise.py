@@ -6,7 +6,6 @@ from pairsieve.noise import (
     FilterReport,
     NoiseKind,
     NoiseSpec,
-    PairLabel,
     evaluate_filter,
     inject_noise,
     labels_of,
@@ -161,11 +160,7 @@ def test_labels_round_trip(tmp_path):
 
 def test_precision_at_k_hand_count():
     records = [rec(0, 0.9), rec(1, 0.8), rec(2, 0.1)]
-    labels = [
-        PairLabel(0, clean=True),
-        PairLabel(1, clean=False, kind=NoiseKind.SHUFFLE),
-        PairLabel(2, clean=True),
-    ]
+    labels = {0: None, 1: NoiseKind.SHUFFLE, 2: None}
     report = evaluate_filter(records, labels)
     assert report.precision_at_clean == pytest.approx(0.5)
     assert report.recall_at_clean == pytest.approx(0.5)
@@ -173,16 +168,13 @@ def test_precision_at_k_hand_count():
 
 def test_auc_is_one_for_perfect_separation():
     records = [rec(i, 1.0 - 0.1 * i) for i in range(6)]
-    labels = [PairLabel(i, clean=i < 3, kind=None if i < 3 else NoiseKind.SHUFFLE)
-              for i in range(6)]
+    labels = {i: None if i < 3 else NoiseKind.SHUFFLE for i in range(6)}
     assert evaluate_filter(records, labels).auc == pytest.approx(1.0)
 
 
 def test_auc_is_half_for_constant_scores():
     records = [rec(i, 0.5) for i in range(10)]
-    labels = [PairLabel(i, clean=i % 2 == 0,
-                        kind=None if i % 2 == 0 else NoiseKind.TRUNCATE)
-              for i in range(10)]
+    labels = {i: None if i % 2 == 0 else NoiseKind.TRUNCATE for i in range(10)}
     assert evaluate_filter(records, labels).auc == pytest.approx(0.5)
 
 
@@ -209,7 +201,7 @@ def test_auc_invariant_under_increasing_transform(scores, flip):
 
 def test_evaluation_rejects_mismatched_ids():
     records = [rec(0, 0.5), rec(1, 0.5)]
-    labels = [PairLabel(0, clean=True), PairLabel(2, clean=False, kind=NoiseKind.SHUFFLE)]
+    labels = {0: None, 2: NoiseKind.SHUFFLE}
     with pytest.raises(StructuralError, match="mismatch"):
         evaluate_filter(records, labels)
 
@@ -218,18 +210,15 @@ def test_evaluation_rejects_mismatched_ids():
     "rec_ids, lab_ids, why",
     [
         ([0, 1, 1], [0, 1, 2], "the score file repeats id 1; the score file lacks id 2"),
+        ([0, 1, 1], [0, 1], "the score file repeats id 1"),
         ([0, 1, 2, 3], [0, 1], "the labels file lacks id 2 and 1 more"),
-        (
-            [0, 2],
-            [0, 1, 1],
-            "the score file lacks id 1; the labels file repeats id 1; the labels file lacks id 2",
-        ),
+        ([0, 2], [0, 1], "the score file lacks id 1; the labels file lacks id 2"),
     ],
-    ids=["score-file-repeats", "labels-lack", "both-sides"],
+    ids=["score-file-repeats", "score-file-repeats-only", "labels-lack", "both-sides"],
 )
 def test_evaluation_names_the_repeated_id_and_the_side_that_lacks_one(rec_ids, lab_ids, why):
     records = [rec(i, 0.5) for i in rec_ids]
-    labels = [PairLabel(i, clean=i % 2 == 0, kind=NoiseKind.SHUFFLE) for i in lab_ids]
+    labels = {i: None if i % 2 == 0 else NoiseKind.SHUFFLE for i in lab_ids}
     with pytest.raises(StructuralError) as info:
         evaluate_filter(records, labels)
     assert str(info.value) == f"score/label id mismatch: {why}"
@@ -237,11 +226,7 @@ def test_evaluation_names_the_repeated_id_and_the_side_that_lacks_one(rec_ids, l
 
 def test_report_has_per_kind_means():
     records = [rec(0, 0.9), rec(1, 0.2), rec(2, 0.4)]
-    labels = [
-        PairLabel(0, clean=True),
-        PairLabel(1, clean=False, kind=NoiseKind.COPY_SOURCE),
-        PairLabel(2, clean=False, kind=NoiseKind.SHUFFLE),
-    ]
+    labels = {0: None, 1: NoiseKind.COPY_SOURCE, 2: NoiseKind.SHUFFLE}
     report = evaluate_filter(records, labels)
     assert report.mean_combined_clean == pytest.approx(0.9)
     assert report.mean_combined_by_kind == {

@@ -15,7 +15,6 @@ from pairsieve.scoring import (
     OFFSET_GRANULE,
     SCORE_HEADER,
     ScoreRecord,
-    TableScorer,
     adequacy,
     domain_score,
     dual_score,
@@ -147,7 +146,7 @@ def test_score_corpus_matches_oracle_on_random_inputs():
     n = 1000
     h = [[rng.uniform(0, 30) for _ in range(n)] for _ in range(4)]
     trusted = [rng.random() < 0.2 for _ in range(n)]
-    scorers = [TableScorer(ExternalScoreTable(h[j])) for j in range(4)]
+    scorers = [ExternalScoreTable(h[j]) for j in range(4)]
     records = [scoring.score_pair(make_pair(i), *scorers, trusted=trusted[i]) for i in range(n)]
     assert [r.pair_id for r in records] == list(range(n))
     for i, record in enumerate(records):
@@ -177,7 +176,7 @@ def test_blank_target_scores_zero_with_flag():
         SentencePair(id=1, src=tokenize("a"), tgt=tokenize("")),
     ]
     table = ExternalScoreTable([1.0, 1.0])
-    records = list(score_corpus(pairs, *(TableScorer(table),) * 4))
+    records = list(score_corpus(pairs, *(table,) * 4))
     assert records[1].combined == 0.0
     assert records[1].flags == ("blank_tgt",)
     assert records[0].flags == ()
@@ -185,26 +184,29 @@ def test_blank_target_scores_zero_with_flag():
 
 def test_trusted_blank_pair_keeps_both_flags():
     pair = SentencePair(id=0, src=tokenize(" "), tgt=tokenize("b"))
-    table = TableScorer(ExternalScoreTable([1.0]))
+    table = ExternalScoreTable([1.0])
     record = scoring.score_pair(pair, *(table,) * 4, trusted=True)
     assert record.combined == 0.0
     assert format_record(record).split("\t")[-1] == "trusted,blank_src"
 
 
 def test_overlength_side_scores_zero_with_flag():
-    long_src = Sentence(tokens=["w"] * 9, raw="w " * 9)
-    pairs = [SentencePair(id=0, src=long_src, tgt=tokenize("ok"))]
-    table = ExternalScoreTable([1.0])
-    (record,) = list(score_corpus(pairs, *(TableScorer(table),) * 4, max_tokens=8))
-    assert record.combined == 0.0
-    assert record.flags == ("overlength_src",)
+    long_side = Sentence(tokens=["w"] * 9, raw="w " * 9)
+    pairs = [
+        SentencePair(id=0, src=long_side, tgt=tokenize("ok")),
+        SentencePair(id=1, src=tokenize(""), tgt=long_side),
+    ]
+    table = ExternalScoreTable([1.0, 1.0])
+    records = list(score_corpus(pairs, *(table,) * 4, max_tokens=8))
+    assert [r.combined for r in records] == [0.0, 0.0]
+    assert [r.flags for r in records] == [("overlength_src",), ("blank_src", "overlength_tgt")]
 
 
 def test_scorer_failure_names_the_pair():
     pairs = [make_pair(0), make_pair(1)]
     table = ExternalScoreTable([1.0])  # too short: pair 1 is off the table
     with pytest.raises(ScoringError, match="pair 1"):
-        list(score_corpus(pairs, *(TableScorer(table),) * 4))
+        list(score_corpus(pairs, *(table,) * 4))
 
 
 @settings(max_examples=50)
@@ -356,10 +358,9 @@ def test_file_scoring_identical_across_worker_counts(tmp_path):
         for s, t in zip(fs, ft):
             fh.write(s.rstrip("\n") + "\t" + t)
     rng = random.Random(2)
-    tables = [
+    scorers = [
         ExternalScoreTable([rng.uniform(0, 5) for _ in range(n)]) for _ in range(4)
     ]
-    scorers = [TableScorer(t) for t in tables]
     for name, corpus in (("twin", {"src_path": src, "tgt_path": tgt}), ("tsv", {"path": tsv})):
         outputs = []
         for workers in (1, 2, 4):
