@@ -7,7 +7,8 @@ external score tables, and a trusted corpus) into a temporary directory. It
 then runs this checkout's CLI on them: `train-tm` in both directions,
 `train-lm`, `score` at 1, 2 and 4 workers on the models and on the tables,
 `select` (top-n as twin files and as TSV, and by threshold), `weights`,
-`stats`, `corrupt` of the training draw, `score` and `evaluate` of the
+`stats`, `score --trusted` on the models at 2 workers and its `stats`,
+`corrupt` of the training draw, `score` and `evaluate` of the
 corrupted draw, and `pipeline` at 1 and 2 workers. It prints one JSON object
 that maps each artifact to its sha256, so two checkouts that print the same
 object write the same bytes. `resolved.cfg` is hashed without its
@@ -96,6 +97,10 @@ def digests(work: Path, seed: int, pairs: int) -> dict[str, str]:
     for name in ("top.src", "top.tgt", "top.tsv", "above.src", "above.tgt", "weights.txt"):
         file(name)
     out["stats.stdout"] = _sha(_run(work, "stats", *scores))
+    _run(work, "score", *crawl, *models, "--trusted", "--workers", "2",
+         "--out", "scores.trusted.tsv")
+    file("scores.trusted.tsv")
+    out["stats.trusted.stdout"] = _sha(_run(work, "stats", "--scores", "scores.trusted.tsv"))
 
     _run(work, "corrupt", *train, "--seed", str(seed), "--third-lang", "raw.mono",
          "--out-prefix", "noisy", "--labels", "noisy.labels")

@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -342,14 +343,12 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     combined = []
-    flag_counts: dict[str, int] = {}
-    trusted = 0
+    flag_counts: Counter[str] = Counter()
     for record in read_score_file(args.scores):
         combined.append(record.combined)
-        if record.trusted:
-            trusted += 1
-        for flag in record.flags:
-            flag_counts[flag] = flag_counts.get(flag, 0) + 1
+        if record.flags != "-":
+            flag_counts.update(record.flags.split(","))
+    trusted = flag_counts.pop("trusted", 0)
     if not combined:
         raise PairsieveError(f"{args.scores}: empty score file, nothing to summarize")
     n = len(combined)

@@ -15,10 +15,11 @@ built-in models and externally computed score tables are interchangeable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (
     DEFAULT_MAX_TOKENS,
@@ -39,14 +40,21 @@ from .ngram_lm import NgramLanguageModel, cross_entropy
 
 Scorer = Callable[[SentencePair], float]
 
-SCORE_HEADER = ("id", "h_fwd", "h_rev", "h_in", "h_out", "adq", "dom", "combined", "flags")
+_FLAG_NAMES = ("trusted", "blank_src", "blank_tgt", "overlength_src", "overlength_tgt")
 
-_DIAG_FLAGS = ("blank_src", "blank_tgt", "overlength_src", "overlength_tgt")
+# Every flags text the writer can produce, keyed by which of _FLAG_NAMES a
+# pair raises: "-" for none, else the raised names in that order, comma-joined.
+_FLAG_TEXT = {
+    raised: ",".join(itertools.compress(_FLAG_NAMES, raised)) or "-"
+    for raised in itertools.product((False, True), repeat=len(_FLAG_NAMES))
+}
+_FLAG_TEXTS = frozenset(_FLAG_TEXT.values())
 
 
-@dataclass
-class ScoreRecord:
-    """Per-pair score bundle: four cross-entropies plus the derived scores."""
+class ScoreRecord(NamedTuple):
+    """One score line's nine fields in column order (``pair_id`` is the
+    ``id`` column): four cross-entropies, the derived scores, and the line's
+    own flags text."""
 
     pair_id: int
     h_fwd: float
@@ -56,8 +64,10 @@ class ScoreRecord:
     adq: float
     dom: float
     combined: float
-    trusted: bool = False
-    flags: tuple[str, ...] = ()
+    flags: str = "-"
+
+
+SCORE_HEADER = ("id", *ScoreRecord._fields[1:])
 
 
 def _check_entropies(*values: float, where: str = "") -> None:
@@ -119,14 +129,8 @@ def make_record(
     """
     _check_entropies(h_fwd, h_rev, h_in, h_out)
     adq, dom = _partial_scores(h_fwd, h_rev, h_in, h_out, trusted)
-    return ScoreRecord(pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, adq * dom, trusted)
-
-
-def diagnostic_flags(pair: SentencePair, max_tokens: int) -> tuple[str, ...]:
-    """The flags of :data:`_DIAG_FLAGS` that the pair raises, in that order."""
-    src, tgt = pair.src, pair.tgt
-    hits = (src.is_blank, tgt.is_blank, len(src.tokens) > max_tokens, len(tgt.tokens) > max_tokens)
-    return tuple(flag for flag, hit in zip(_DIAG_FLAGS, hits) if hit)
+    flags = _FLAG_TEXT[trusted, False, False, False, False]
+    return ScoreRecord(pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, adq * dom, flags)
 
 
 def _score_fields(
@@ -147,14 +151,13 @@ def _score_fields(
     """
     nan = math.nan
     inf = math.inf
-    flag_head = ("trusted",) if trusted else ()
-    clean = "trusted" if trusted else "-"
+    clean = _FLAG_TEXT[trusted, False, False, False, False]
     for pair in pairs:
         src = pair.src.tokens
         tgt = pair.tgt.tokens
         if not src or not tgt or len(src) > max_tokens or len(tgt) > max_tokens:
-            flags = ",".join(flag_head + diagnostic_flags(pair, max_tokens))
-            yield pair.id, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags
+            raised = (trusted, not src, not tgt, len(src) > max_tokens, len(tgt) > max_tokens)
+            yield pair.id, nan, nan, nan, nan, 0.0, 0.0, 0.0, _FLAG_TEXT[raised]
             continue
         try:
             h_fwd = fwd_scorer(pair)
@@ -200,10 +203,7 @@ def score_corpus(
 ) -> Iterator[ScoreRecord]:
     """One ScoreRecord per pair, in id order, single streaming pass."""
     scorers = (fwd_scorer, rev_scorer, in_scorer, out_scorer)
-    for fields in _score_fields(corpus, *scorers, max_tokens, trusted):
-        # The flags field is "-", or "trusted" if set, then the diagnostic flags.
-        flags = () if fields[8] == "-" else tuple(fields[8].split(","))
-        yield ScoreRecord(*fields[:8], trusted, flags[1:] if trusted else flags)
+    return map(ScoreRecord._make, _score_fields(corpus, *scorers, max_tokens, trusted))
 
 
 class Model1Scorer:
@@ -237,30 +237,19 @@ _LINE_FORMAT = _RECORD_FORMAT + "\n"
 
 
 def format_record(record: ScoreRecord) -> str:
-    flags = (("trusted",) if record.trusted else ()) + record.flags
-    return _RECORD_FORMAT % (
-        record.pair_id,
-        record.h_fwd,
-        record.h_rev,
-        record.h_in,
-        record.h_out,
-        record.adq,
-        record.dom,
-        record.combined,
-        ",".join(flags) if flags else "-",
-    )
+    return _RECORD_FORMAT % record
 
 
 def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
     try:
-        pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, combined, raw_flags = line.split("\t")
+        pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, combined, flags = line.split("\t")
     except ValueError:
         found = line.count("\t") + 1
         raise ModelFormatError(
             f"{path}: line {line_no}: expected {len(SCORE_HEADER)} columns, found {found}"
         ) from None
     try:
-        record = ScoreRecord(
+        record = ScoreRecord._make((
             int(pair_id),
             float(h_fwd),
             float(h_rev),
@@ -269,7 +258,8 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
             float(adq),
             float(dom),
             float(combined),
-        )
+            flags,
+        ))
     except ValueError:
         raise ModelFormatError(
             f"{path}: line {line_no}: non-numeric field in {line!r}"
@@ -284,13 +274,14 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
             if not 0.0 <= float(text) <= 1.0
         )
         raise ModelFormatError(f"{path}: line {line_no}: {name} {text!r} is outside [0, 1]")
-    if raw_flags != "-":
-        flags = raw_flags.split(",")
-        record.trusted = "trusted" in flags
-        record.flags = tuple(f for f in flags if f != "trusted")
-        bad = [f for f in record.flags if f not in _DIAG_FLAGS]
+    if flags not in _FLAG_TEXTS:
+        bad = [f for f in flags.split(",") if f not in _FLAG_NAMES]
         if bad:
             raise ModelFormatError(f"{path}: line {line_no}: unknown flags {bad}")
+        raise ModelFormatError(
+            f"{path}: line {line_no}: flags {flags!r} repeat a flag or are out of order"
+            f" (order: {','.join(_FLAG_NAMES)})"
+        )
     return record
 
 

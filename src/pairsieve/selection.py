@@ -138,8 +138,10 @@ def extract_selected(
     :func:`~pairsieve.corpus.read_rows` gives them. They are read to the end:
     a corpus whose pair count is not the number of scored records fails,
     naming both inputs by ``scores_name`` and ``corpus_name``. The selected
-    ids must ascend, as both selectors return them; an id out of order is
-    never reached and fails at the corpus's end.
+    ids must ascend strictly, as both selectors return them from a score file
+    that holds each id once. An id never reached fails at the corpus's end,
+    naming ``scores_name``: one message for an id that repeats or comes out of
+    order, another for an id off the corpus.
     """
 
     def selected_rows() -> Iterator[Row]:
@@ -157,7 +159,11 @@ def extract_selected(
                 f"{corpus_name} holds {n_rows} pairs; the scores are for another corpus"
             )
         if next_id is not None:
-            raise StructuralError(f"selected id {next_id} is beyond the end of the corpus")
+            if 0 <= next_id < n_rows:
+                fault = "is repeated or out of order"
+            else:
+                fault = f"is not a pair id of {corpus_name} (0 to {n_rows - 1})"
+            raise StructuralError(f"{scores_name}: selected id {next_id} {fault}")
 
     if tsv_path is not None:
         return write_tsv(selected_rows(), tsv_path)

@@ -267,7 +267,7 @@ def test_trusted_flag_forces_adequacy_to_one(workdir, tmp_path):
         )
         assert code == 0
     for record in read_score_file(outs[0]):
-        assert record.trusted
+        assert record.flags == "trusted"
         assert record.adq == 1.0
         assert record.combined == record.dom
     assert outs[0].read_bytes() == outs[1].read_bytes()
@@ -356,6 +356,32 @@ def test_select_rejects_scores_of_another_corpus(workdir, tmp_path, caplog, n_sc
         f"{scores} holds {n_scores} scored pairs but {src} + {tgt} holds 120 pairs; "
         "the scores are for another corpus"
     )
+    assert not list(tmp_path.glob("sel.src")) and not list(tmp_path.glob("sel.tgt"))
+
+
+@pytest.mark.parametrize(
+    "ids, fault",
+    [
+        ((0, 1, 1), "selected id 1 is repeated or out of order"),
+        ((0, 1, 5), "selected id 5 is not a pair id of {corpus} (0 to 2)"),
+    ],
+)
+@pytest.mark.parametrize("mode", [["--top-n", "3"], ["--threshold", "0.55"]])
+def test_select_tells_a_repeated_id_from_one_past_the_corpus(tmp_path, caplog, ids, fault, mode):
+    records = [
+        ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
+                    adq=1.0, dom=1.0, combined=c)
+        for i, c in zip(ids, (0.9, 0.8, 0.6))
+    ]
+    scores, src, tgt = tmp_path / "s.tsv", tmp_path / "c.src", tmp_path / "c.tgt"
+    write_score_file(records, scores)
+    src.write_text("a\nb\nc\n", encoding="utf-8")
+    tgt.write_text("x\ny\nz\n", encoding="utf-8")
+    code = run_cli("select", "--scores", scores, *mode, "--in-src", src, "--in-tgt", tgt,
+                   "--out-prefix", tmp_path / "sel")
+    assert code == 1
+    (record,) = caplog.records
+    assert record.message == f"{scores}: " + fault.format(corpus=f"{src} + {tgt}")
     assert not list(tmp_path.glob("sel.src")) and not list(tmp_path.glob("sel.tgt"))
 
 
@@ -514,6 +540,30 @@ def test_stats_constant_scores_have_flat_deciles(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     for decile in range(1, 10):
         assert f"p{decile * 10}\t0.25" in lines
+
+
+def test_stats_counts_trusted_and_each_flag(tmp_path, capsys):
+    flags = ["-", "trusted", "blank_src", "trusted,blank_tgt", "blank_src,overlength_tgt",
+             "trusted,overlength_src", "overlength_tgt", "trusted"]
+    lines = [
+        f"{i}\t1\t1\t1\t1\t1\t0.5\t0.5\t{text}" if text in ("-", "trusted")
+        else f"{i}\tnan\tnan\tnan\tnan\t0\t0\t0\t{text}"
+        for i, text in enumerate(flags)
+    ]
+    scores = tmp_path / "flagged.scores.tsv"
+    scores.write_text("\n".join(["\t".join(SCORE_HEADER), *lines, ""]), encoding="utf-8")
+    assert run_cli("stats", "--scores", scores) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:8] == [
+        "records\t8",
+        "trusted\t4",
+        "flagged\t6",
+        "flag_blank_src\t2",
+        "flag_blank_tgt\t1",
+        "flag_overlength_src\t1",
+        "flag_overlength_tgt\t2",
+        "min\t0",
+    ]
 
 
 def test_stats_empty_file_is_an_error(tmp_path):

@@ -283,8 +283,8 @@ def saved_scores(tmp_path_factory):
     write_score_file(
         [
             ScoreRecord(0, 1.5, 2.25, 4.0, 3.5, 0.0907180, 0.606531, 0.0550232),
-            ScoreRecord(1, 0.5, 0.75, 3.0, 3.25, 1.0, 1.0, 1.0, trusted=True),
-            ScoreRecord(2, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags=("blank_src", "overlength_tgt")),
+            ScoreRecord(1, 0.5, 0.75, 3.0, 3.25, 1.0, 1.0, 1.0, flags="trusted"),
+            ScoreRecord(2, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags="blank_src,overlength_tgt"),
             ScoreRecord(3, 12.0, 0.125, 9.5, 2.0, 1.23e-9, 0.000553084, 6.8e-13),
         ],
         root / "m.scores.tsv",

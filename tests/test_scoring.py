@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -154,7 +155,7 @@ def test_score_corpus_matches_oracle_on_random_inputs():
         assert record.adq == pytest.approx(adq, abs=1e-12)
         assert record.dom == pytest.approx(dom, abs=1e-12)
         assert record.combined == pytest.approx(combined, abs=1e-12)
-        assert record.trusted == trusted[i]
+        assert record.flags == ("trusted" if trusted[i] else "-")
 
 
 def test_record_composition_example():
@@ -178,8 +179,8 @@ def test_blank_target_scores_zero_with_flag():
     table = ExternalScoreTable([1.0, 1.0])
     records = list(score_corpus(pairs, *(table,) * 4))
     assert records[1].combined == 0.0
-    assert records[1].flags == ("blank_tgt",)
-    assert records[0].flags == ()
+    assert records[1].flags == "blank_tgt"
+    assert records[0].flags == "-"
 
 
 def test_trusted_blank_pair_keeps_both_flags():
@@ -199,7 +200,7 @@ def test_overlength_side_scores_zero_with_flag():
     table = ExternalScoreTable([1.0, 1.0])
     records = list(score_corpus(pairs, *(table,) * 4, max_tokens=8))
     assert [r.combined for r in records] == [0.0, 0.0]
-    assert [r.flags for r in records] == [("overlength_src",), ("blank_src", "overlength_tgt")]
+    assert [r.flags for r in records] == ["overlength_src", "blank_src,overlength_tgt"]
 
 
 def test_scorer_failure_names_the_pair():
@@ -239,18 +240,15 @@ def test_score_file_round_trip(tmp_path):
     assert text.splitlines()[0] == "\t".join(SCORE_HEADER)
     loaded = list(read_score_file(path))
     assert [r.pair_id for r in loaded] == [0, 1]
-    assert loaded[1].trusted is True
+    assert loaded[1].flags == "trusted"
     assert loaded[0].combined == pytest.approx(records[0].combined, rel=1e-5)
 
 
 def per_field_format(record):
     """The record line as a join of per-field f"{x:.6g}" strings."""
-    flags = (("trusted",) if record.trusted else ()) + record.flags
     floats = (record.h_fwd, record.h_rev, record.h_in, record.h_out,
               record.adq, record.dom, record.combined)
-    return "\t".join(
-        [str(record.pair_id), *(f"{x:.6g}" for x in floats), ",".join(flags) or "-"]
-    )
+    return "\t".join([str(record.pair_id), *(f"{x:.6g}" for x in floats), record.flags])
 
 
 @pytest.mark.parametrize(
@@ -259,8 +257,8 @@ def per_field_format(record):
 def test_format_record_equals_the_per_field_join(value):
     records = [
         ScoreRecord(7, value, value, value, value, value, value, value),
-        ScoreRecord(8, value, 2.5, value, 0.25, 1.0, value, value, trusted=True,
-                    flags=("blank_src", "overlength_tgt")),
+        ScoreRecord(8, value, 2.5, value, 0.25, 1.0, value, value,
+                    flags="trusted,blank_src,overlength_tgt"),
         make_record(9, 1.5, 2.25, 4.0, 3.5, trusted=True),
     ]
     for record in records:
@@ -334,6 +332,34 @@ def test_parse_record_rejects_bad_flags():
     line = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25\tbogus"
     with pytest.raises(Exception, match="unknown flags"):
         parse_record(line, "x.tsv", 2)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    ["blank_src,blank_src", "overlength_tgt,trusted,trusted", "trusted,trusted",
+     "blank_tgt,blank_src", "blank_src,trusted"],
+)
+def test_parse_record_rejects_repeated_or_misordered_flags(flags):
+    line = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25\t" + flags
+    with pytest.raises(ModelFormatError) as info:
+        parse_record(line, "x.tsv", 2)
+    assert str(info.value) == (
+        f"x.tsv: line 2: flags {flags!r} repeat a flag or are out of order"
+        " (order: trusted,blank_src,blank_tgt,overlength_src,overlength_tgt)"
+    )
+
+
+def test_parse_record_accepts_every_flags_text_the_writer_can_produce():
+    names = ("trusted", "blank_src", "blank_tgt", "overlength_src", "overlength_tgt")
+    texts = ["-"] + [
+        ",".join(subset)
+        for size in range(1, len(names) + 1)
+        for subset in itertools.combinations(names, size)
+    ]
+    for text in texts:
+        assert parse_record("3\t1\t1\t1\t1\t1\t0.5\t0.5\t" + text, "x.tsv", 2) == (
+            ScoreRecord(3, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, text)
+        )
 
 
 def _write_corpus(tmp_path, n):
