@@ -372,6 +372,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for fraction in (0.10, 0.25, 0.50, 0.75):
         keep = max(1, round(fraction * n))
         out.write(f"retention\t{fraction:.2f}\t{combined[n - keep]:.6g}\n")
+    out.flush()  # a closed pipe fails here, not at exit
     return 0
 
 
@@ -715,6 +716,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone (``stats | head``): say nothing, and
+        # point stdout at devnull so its flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PairsieveError, OSError) as exc:
         log.error("%s", exc)
         return 1

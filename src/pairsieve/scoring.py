@@ -286,14 +286,21 @@ def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
 
 
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
-    """Stream records back from a score file written by score_corpus_to_file."""
+    """Stream records back from a score file written by score_corpus_to_file.
+    Ids must count 0, 1, 2, ... in line order, so record i is pair i."""
     name = str(path)
     with numbered_lines(path, ModelFormatError) as lines:
         _, header = next(lines, (1, ""))
         if header.rstrip("\n") != "\t".join(SCORE_HEADER):
             raise ModelFormatError(f"{path}: line 1: bad or missing score header")
         for line_no, line in lines:
-            yield parse_record(line.rstrip("\n"), name, line_no)
+            record = parse_record(line.rstrip("\n"), name, line_no)
+            if record.pair_id != line_no - 2:
+                raise ModelFormatError(
+                    f"{path}: line {line_no}: id {record.pair_id}, expected {line_no - 2};"
+                    " ids count 0, 1, 2, ... in line order"
+                )
+            yield record
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ as many as fit beside the best n, but never fewer than n/4, so the buffer never
 holds more than max(budget, 1.25n) keys and no file is written. Extraction
 streams the corpus's raw lines, never tokenized, to its end, so a score file
 made for another corpus fails.
+
+Every function here takes records as :func:`~pairsieve.scoring.read_score_file`
+yields them, which checks that record i is pair i; none checks ids again.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def select_top_n(
 def select_by_threshold(
     records: Iterable[ScoreRecord], threshold: float
 ) -> SelectionResult:
-    """All records with combined score >= threshold, in ascending id order."""
+    """All records with combined score >= threshold; records come in id
+    order, so the ids come back ascending."""
     if not 0.0 <= threshold <= 1.0:
         raise ScoreDomainError(f"threshold must be in [0, 1], got {threshold!r}")
     selected_ids = []
@@ -92,7 +96,6 @@ def select_by_threshold(
             selected_ids.append(record.pair_id)
             if cutoff is None or record.combined < cutoff:
                 cutoff = record.combined
-    selected_ids.sort()
     return SelectionResult(
         selected_ids=selected_ids,
         cutoff_score=cutoff,
@@ -101,26 +104,13 @@ def select_by_threshold(
 
 
 def emit_weights(records: Iterable[ScoreRecord], path: str | Path) -> int:
-    """Write one combined-score weight per line, line i belonging to pair i.
-
-    Records must arrive in id order and cover 0..n-1 densely; any gap,
-    duplicate, or out-of-order id is a structural error.
-    """
-    expected = 0
+    """Write one combined-score weight per line and return the line count.
+    Records come as read_score_file yields them, so line i is pair i's."""
+    n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            if record.pair_id != expected:
-                if record.pair_id > expected:
-                    raise StructuralError(
-                        f"weight emission: missing id {expected} "
-                        f"(next record was {record.pair_id})"
-                    )
-                raise StructuralError(
-                    f"weight emission: duplicate or out-of-order id {record.pair_id}"
-                )
+        for n, record in enumerate(records, 1):
             fh.write(f"{record.combined:.6g}\n")
-            expected += 1
-    return expected
+    return n
 
 
 def extract_selected(
@@ -138,10 +128,9 @@ def extract_selected(
     :func:`~pairsieve.corpus.read_rows` gives them. They are read to the end:
     a corpus whose pair count is not the number of scored records fails,
     naming both inputs by ``scores_name`` and ``corpus_name``. The selected
-    ids must ascend strictly, as both selectors return them from a score file
-    that holds each id once. An id never reached fails at the corpus's end,
-    naming ``scores_name``: one message for an id that repeats or comes out of
-    order, another for an id off the corpus.
+    ids ascend strictly and lie below ``n_scored``, as both selectors return
+    them from the records that :func:`~pairsieve.scoring.read_score_file`
+    yields, so once the counts agree each selected pair is written.
     """
 
     def selected_rows() -> Iterator[Row]:
@@ -158,12 +147,6 @@ def extract_selected(
                 f"{scores_name} holds {selection.n_scored} scored pairs but "
                 f"{corpus_name} holds {n_rows} pairs; the scores are for another corpus"
             )
-        if next_id is not None:
-            if 0 <= next_id < n_rows:
-                fault = "is repeated or out of order"
-            else:
-                fault = f"is not a pair id of {corpus_name} (0 to {n_rows - 1})"
-            raise StructuralError(f"{scores_name}: selected id {next_id} {fault}")
 
     if tsv_path is not None:
         return write_tsv(selected_rows(), tsv_path)

@@ -27,17 +27,9 @@ from pairsieve.noise import read_labels, write_labels
 from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
+from score_records import write_score_file
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def write_score_file(records, path):
-    """Write records as a score file, header first, the way score does;
-    returns the record count."""
-    lines = [format_record(record) + "\n" for record in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SCORE_HEADER) + "\n")
-        fh.writelines(lines)
-    return len(lines)
 
 
 @pytest.fixture(scope="module")
@@ -360,29 +352,54 @@ def test_select_rejects_scores_of_another_corpus(workdir, tmp_path, caplog, n_sc
 
 
 @pytest.mark.parametrize(
-    "ids, fault",
-    [
-        ((0, 1, 1), "selected id 1 is repeated or out of order"),
-        ((0, 1, 5), "selected id 5 is not a pair id of {corpus} (0 to 2)"),
-    ],
+    "ids, line, found, expected",
+    [((0, 1, 1), 4, 1, 2), ((0, 1, 5), 4, 5, 2), ((0, 2, 1), 3, 2, 1), ((1, 2, 3), 2, 1, 0)],
+    ids=["repeated", "skipped", "out-of-order", "first-not-0"],
 )
-@pytest.mark.parametrize("mode", [["--top-n", "3"], ["--threshold", "0.55"]])
-def test_select_tells_a_repeated_id_from_one_past_the_corpus(tmp_path, caplog, ids, fault, mode):
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["select", "--top-n", "1"],
+        ["select", "--top-n", "3"],
+        ["select", "--threshold", "0.55"],
+        ["weights"],
+        ["stats"],
+        ["evaluate"],
+    ],
+    ids=["top-1", "top-3", "threshold", "weights", "stats", "evaluate"],
+)
+def test_every_reader_of_a_score_file_stops_at_its_first_bad_id(
+    tmp_path, caplog, capsys, ids, line, found, expected, command
+):
+    """Whatever a command would take from the file, an id out of line order
+    fails at the score file's line: exit 1, nothing written, nothing printed."""
     records = [
         ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
                     adq=1.0, dom=1.0, combined=c)
         for i, c in zip(ids, (0.9, 0.8, 0.6))
     ]
     scores, src, tgt = tmp_path / "s.tsv", tmp_path / "c.src", tmp_path / "c.tgt"
+    labels = tmp_path / "labels.tsv"
     write_score_file(records, scores)
     src.write_text("a\nb\nc\n", encoding="utf-8")
     tgt.write_text("x\ny\nz\n", encoding="utf-8")
-    code = run_cli("select", "--scores", scores, *mode, "--in-src", src, "--in-tgt", tgt,
-                   "--out-prefix", tmp_path / "sel")
-    assert code == 1
+    labels.write_text("0\tclean\t-\n1\tcorrupted\tshuffle\n2\tclean\t-\n", encoding="utf-8")
+    inputs = set(tmp_path.iterdir())
+    outputs = {
+        "select": ["--in-src", src, "--in-tgt", tgt, "--out-prefix", tmp_path / "sel"],
+        "weights": ["--out", tmp_path / "w.txt"],
+        "stats": [],
+        "evaluate": ["--labels", labels, "--report", tmp_path / "report.tsv"],
+    }[command[0]]
+    assert run_cli(*command, "--scores", scores, *outputs) == 1
     (record,) = caplog.records
-    assert record.message == f"{scores}: " + fault.format(corpus=f"{src} + {tgt}")
-    assert not list(tmp_path.glob("sel.src")) and not list(tmp_path.glob("sel.tgt"))
+    assert record.message == (
+        f"{scores}: line {line}: id {found}, expected {expected}; "
+        "ids count 0, 1, 2, ... in line order"
+    )
+    assert capsys.readouterr().out == ""
+    written = set(tmp_path.iterdir()) - inputs
+    assert all(path.name.endswith(".partial") for path in written)
 
 
 def test_select_requires_exactly_one_mode(workdir, tmp_path):
@@ -476,11 +493,11 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
     ],
 )
 def test_evaluate_names_the_bad_line_of_a_label_file(tmp_path, caplog, labels, message):
-    """A score file that repeats id 1 as the labels do is still rejected."""
+    """A bad label file fails naming its own line."""
     records = [
         ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
                     adq=1.0, dom=1.0, combined=c)
-        for i, c in ((0, 0.9), (1, 0.5), (1, 0.1))
+        for i, c in ((0, 0.9), (1, 0.5), (2, 0.1))
     ]
     scores, path = tmp_path / "s.tsv", tmp_path / "labels.tsv"
     write_score_file(records, scores)
@@ -570,6 +587,28 @@ def test_stats_empty_file_is_an_error(tmp_path):
     path = tmp_path / "empty.scores.tsv"
     write_score_file([], path)
     assert run_cli("stats", "--scores", path) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stats_into_a_closed_pipe_exits_1_and_logs_nothing(tmp_path, unbuffered):
+    """As in `pairsieve stats ... | head -1`: the reader of stdout has gone
+    before stats writes, which is no fault of the input to report."""
+    scores = _handmade_scores(tmp_path, [0.9, 0.1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairsieve", "stats", "--scores", str(scores)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin",
+                 "PYTHONUNBUFFERED": unbuffered},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 

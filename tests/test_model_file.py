@@ -10,17 +10,9 @@ from pairsieve.corpus import SentencePair, tokenize
 from pairsieve.errors import IncompatibleModelError, ModelFormatError
 from pairsieve.lexical_tm import load_tm, save_tm, train_model1
 from pairsieve.ngram_lm import load_lm, save_lm, train_ngram
-from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
+from pairsieve.scoring import ScoreRecord, read_score_file
 
-
-def write_score_file(records, path):
-    """Write records as a score file, header first, the way score does;
-    returns the record count."""
-    lines = [format_record(record) + "\n" for record in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SCORE_HEADER) + "\n")
-        fh.writelines(lines)
-    return len(lines)
+from score_records import write_score_file
 
 
 TM_LINES = [

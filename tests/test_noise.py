@@ -14,27 +14,15 @@ from pairsieve.noise import (
     uniform_mix,
     write_labels,
 )
-from pairsieve.scoring import ScoreRecord
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
+
+from score_records import rec
 
 THIRD = make_third_language(50, seed=91)
 
 
 def corpus(n, seed=3):
     return make_cipher_corpus(n, seed=seed)
-
-
-def rec(pair_id, combined):
-    return ScoreRecord(
-        pair_id=pair_id,
-        h_fwd=1.0,
-        h_rev=1.0,
-        h_in=1.0,
-        h_out=1.0,
-        adq=1.0,
-        dom=1.0,
-        combined=combined,
-    )
 
 
 def test_corruption_count_is_exact():

