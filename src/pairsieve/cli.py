@@ -325,7 +325,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     records = list(read_score_file(args.scores))
     labels = read_labels(args.labels)
-    report = evaluate_filter(records, labels)
+    report = evaluate_filter(records, labels, scores_name=args.scores, labels_name=args.labels)
     session = _AtomicSession()
     write_report(report, session.path(args.report))
     session.commit()

@@ -30,7 +30,7 @@ from .errors import (
     ModelFormatError,
     TrainingError,
 )
-from .model_file import ModelFile, first_line, numbered_lines
+from .model_file import ModelFile, first_line, id_rule_message, numbered_lines
 
 # The empty string can never collide with a real token (tokens are maximal
 # non-whitespace runs), so it doubles as the NULL word key.
@@ -301,98 +301,62 @@ class ExternalScoreTable:
 
 
 def load_external_scores(path: str | Path) -> ExternalScoreTable:
-    """Load a headerless TSV of (pair id, cross-entropy) with ids dense from 0.
-
-    A table whose line i is exactly ``i<TAB>value`` loads a block at a time;
-    any other table, and any table with a fault, is read by the line loop,
-    which alone words the errors, so both paths accept the same files and
-    load the same floats.
-    """
+    """Load a headerless TSV of ``id<TAB>cross-entropy`` lines: line k holds
+    pair k − 1, its id written as ``str(k − 1)``, and each value is finite
+    and >= 0. The table is read a block at a time; only a table that breaks
+    the rule is read again, line by line, to raise :class:`ExternalScoreError`
+    naming its first bad line."""
+    scores = array("d")
     try:
-        scores = _read_in_order(path)
-    except ValueError:  # a bad value or invalid UTF-8: the line loop names it
-        scores = None
-    if not scores:  # another layout, a fault, or an empty file
-        scores = _read_any_order(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            while block := fh.read(TABLE_BLOCK_CHARS):
+                if block[-1] != "\n":
+                    block += fh.readline()
+                    if block[-1] != "\n":  # the last line has no newline
+                        block += "\n"
+                fields = block.replace("\n", "\t").split("\t")
+                values = fields[1::2]
+                ids = map(str, range(len(scores), len(scores) + len(values)))
+                # Rebuilt from its ids and values, the block must come out the
+                # same: one tab per line and line i's id written as str(i).
+                if "\n".join(map("\t".join, zip(ids, values))) + "\n" != block:
+                    raise ValueError("a line breaks the rule")
+                block_scores = array("d", map(float, values))
+                # Cross-entropies are >= 0; a nan or inf makes the sum fail, but
+                # so do finite values whose sum overflows: only then is each
+                # value tested on its own.
+                if not (min(block_scores) >= 0.0 and sum(block_scores) < math.inf):
+                    if not all(0.0 <= value < math.inf for value in block_scores):
+                        raise ValueError("a value is not finite and >= 0")
+                scores.extend(block_scores)
+    except ValueError:  # also a value that does not parse, or text that is not UTF-8
+        raise _first_bad_line(path) from None
+    if not scores:
+        raise ExternalScoreError(f"{path}: empty score table")
     return ExternalScoreTable(scores, source=str(path))
 
 
-def _read_in_order(path: str | Path) -> array | None:
-    """The scores of a table whose line i is ``i<TAB>value`` for every i, each
-    value finite and >= 0, read a block at a time; None if a block is laid out
-    otherwise or holds another value. A value that does not parse, or text
-    that is not UTF-8, raises ValueError."""
-    scores = array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        while block := fh.read(TABLE_BLOCK_CHARS):
-            if block[-1] != "\n":
-                block += fh.readline()
-                if block[-1] != "\n":  # the last line has no newline
-                    block += "\n"
-            fields = block.replace("\n", "\t").split("\t")
-            values = fields[1::2]
-            ids = map(str, range(len(scores), len(scores) + len(values)))
-            # Rebuilt from its ids and values, the block must come out the
-            # same: one tab per line and line i's id written as str(i).
-            if "\n".join(map("\t".join, zip(ids, values))) + "\n" != block:
-                return None
-            block_scores = array("d", map(float, values))
-            # Cross-entropies are >= 0; a nan or inf makes the sum fail.
-            if not (min(block_scores) >= 0.0 and sum(block_scores) < math.inf):
-                return None
-            scores.extend(block_scores)
-    return scores
-
-
-def _read_any_order(path: str | Path) -> array:
-    """The line loop: ids in any order, blank lines skipped; every fault
-    raises ExternalScoreError naming the file and, where there is one, the
-    line."""
-    entries: dict[int, float] = {}
+def _first_bad_line(path: str | Path) -> ExternalScoreError:
+    """The error for the first line of the table that breaks the rule, found
+    by reading it again line by line; invalid UTF-8 raises from the read."""
     with numbered_lines(path, ExternalScoreError) as lines:
         for line_no, line in lines:
             line = line.rstrip("\n")
-            if not line:
-                continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ExternalScoreError(
+                return ExternalScoreError(
                     f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
                 )
-            # ASCII digits only: int() would also take a sign, spaces,
-            # underscores and the digits of other scripts.
-            id_text = parts[0]
-            digits = id_text.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: non-integer id {id_text!r}"
-                )
-            if digits != id_text:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: negative id {id_text!r}"
-                )
-            pair_id = int(id_text)
+            if parts[0] != str(line_no - 1):
+                return ExternalScoreError(id_rule_message(path, line_no, parts[0], line_no - 1))
             try:
                 value = float(parts[1])
             except ValueError:
-                raise ExternalScoreError(
+                return ExternalScoreError(
                     f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
-                ) from None
-            # Cross-entropies are >= 0; nan fails this test too.
-            if not 0.0 <= value < math.inf:
-                raise ExternalScoreError(
+                )
+            if not 0.0 <= value < math.inf:  # false for nan too
+                return ExternalScoreError(
                     f"{path}: line {line_no}: score {parts[1]!r} is not finite and >= 0"
                 )
-            if pair_id in entries:
-                raise ExternalScoreError(
-                    f"{path}: line {line_no}: duplicate id {pair_id}"
-                )
-            entries[pair_id] = value
-    if not entries:
-        raise ExternalScoreError(f"{path}: empty score table")
-    missing = next((i for i in range(len(entries)) if i not in entries), None)
-    if missing is not None:
-        raise ExternalScoreError(
-            f"{path}: ids are not dense from 0: id {missing} is missing"
-        )
-    return array("d", map(entries.__getitem__, range(len(entries))))
+    return ExternalScoreError(f"{path}: the table changed while it was read")

@@ -51,6 +51,16 @@ def numbered_lines(path: str | Path, error: type[PairsieveError]) -> Iterator[Nu
         raise error(f"{path}: invalid UTF-8") from None  # the file changed since it failed
 
 
+def id_rule_message(path: str | Path, line_no: int, id_text: object, expected: int) -> str:
+    """Why the id on line ``line_no`` of an id-keyed file (a score file, an
+    external score table or a labels file) is not ``expected``: in each, ids
+    count 0, 1, 2, ... in line order, so record i is pair i."""
+    return (
+        f"{path}: line {line_no}: id {id_text}, expected {expected};"
+        " ids count 0, 1, 2, ... in line order"
+    )
+
+
 class ModelFile:
     """A forward reader over the numbered lines of one model file, whose
     first line names the expected format; no line is kept once it is read.

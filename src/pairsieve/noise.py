@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
-from .model_file import numbered_lines
+from .model_file import id_rule_message, numbered_lines
 from .scoring import ScoreRecord
 from .selection import select_top_n
 
@@ -59,8 +58,8 @@ class NoiseSpec:
             raise ConfigError(f"mix proportions must sum to 1, got {total!r}")
 
 
-# A pair id's corruption kind, None for a clean pair, in id or file order.
-Labels = dict[int, NoiseKind | None]
+# Label i is pair i's corruption kind, None for a clean pair.
+Labels = list[NoiseKind | None]
 
 
 @dataclass
@@ -114,13 +113,13 @@ def inject_noise(
             "sentences were supplied"
         )
 
+    # Pair i is by_id[i], whatever order the pairs came in.
     by_id = sorted(pairs, key=lambda p: p.id)
-    ids = [p.id for p in by_id]
-    if len(set(ids)) != n:
-        raise StructuralError("pair ids must be unique")
+    if any(p.id != i for i, p in enumerate(by_id)):
+        raise StructuralError(f"pair ids must be 0 to {n - 1}, each once")
 
     master = random.Random(f"{spec.seed}:assignment")
-    corrupted_ids = sorted(master.sample(ids, k))
+    corrupted_ids = sorted(master.sample(range(n), k))
     kind_of = {
         pair_id: _pair_rng(spec.seed, pair_id, "kind").choices(kinds, weights)[0]
         for pair_id in corrupted_ids
@@ -129,15 +128,13 @@ def inject_noise(
     # Rotate targets within the misaligned set; a singleton borrows from its
     # successor in the full corpus instead.
     misaligned = [pid for pid in corrupted_ids if kind_of[pid] is NoiseKind.MISALIGN]
-    pair_by_id = {p.id: p for p in by_id}
     donor_of: dict[int, int] = {}
     if len(misaligned) >= 2:
         for j, pid in enumerate(misaligned):
             donor_of[pid] = misaligned[(j + 1) % len(misaligned)]
     elif len(misaligned) == 1:
         pid = misaligned[0]
-        pos = ids.index(pid)
-        donor_of[pid] = ids[(pos + 1) % n]
+        donor_of[pid] = (pid + 1) % n
 
     out: list[LabeledPair] = []
     for pair in by_id:
@@ -148,7 +145,7 @@ def inject_noise(
         rng = _pair_rng(spec.seed, pair.id, "corrupt")
         src, tgt = pair.src, pair.tgt
         if kind is NoiseKind.MISALIGN:
-            new_tgt = pair_by_id[donor_of[pair.id]].tgt
+            new_tgt = by_id[donor_of[pair.id]].tgt
         elif kind is NoiseKind.COPY_SOURCE:
             new_tgt = _made_sentence(list(src.tokens))
         elif kind is NoiseKind.SHUFFLE:
@@ -168,21 +165,23 @@ def inject_noise(
 
 
 def labels_of(labeled: Iterable[LabeledPair]) -> Labels:
-    return {lp.pair.id: lp.kind for lp in labeled}
+    """The labels of :func:`inject_noise`'s pairs, which come pair 0 first."""
+    return [lp.kind for lp in labeled]
 
 
 def write_labels(labels: Labels, path: str | Path) -> int:
     with open(path, "w", encoding="utf-8") as fh:
-        for pair_id, kind in labels.items():
+        for pair_id, kind in enumerate(labels):
             status, name = ("clean", "-") if kind is None else ("corrupted", kind.value)
             fh.write(f"{pair_id}\t{status}\t{name}\n")
     return len(labels)
 
 
 def read_labels(path: str | Path) -> Labels:
-    """Labels from ``id<TAB>clean|corrupted<TAB>kind`` lines. A clean pair's
-    kind is ``-``; a corrupted pair names one of the NoiseKind values."""
-    labels: Labels = {}
+    """Labels from ``id<TAB>clean|corrupted<TAB>kind`` lines. Ids count 0, 1,
+    2, ... in line order, so label i is pair i. A clean pair's kind is ``-``;
+    a corrupted pair names one of the NoiseKind values."""
+    labels: Labels = []
     kinds = {kind.value: kind for kind in NoiseKind}
     with numbered_lines(path, StructuralError) as lines:
         for line_no, line in lines:
@@ -191,17 +190,8 @@ def read_labels(path: str | Path) -> Labels:
                 raise StructuralError(
                     f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
                 )
-            try:
-                pair_id = int(parts[0])
-            except ValueError:
-                raise StructuralError(
-                    f"{path}: line {line_no}: non-integer id {parts[0]!r}"
-                ) from None
-            if pair_id in labels:
-                first = list(labels).index(pair_id) + 1  # each line before holds one id
-                raise StructuralError(
-                    f"{path}: line {line_no}: id {pair_id} repeats line {first}"
-                )
+            if parts[0] != str(line_no - 1):
+                raise StructuralError(id_rule_message(path, line_no, parts[0], line_no - 1))
             clean = parts[1] == "clean"
             if clean != (parts[2] == "-"):
                 raise StructuralError(
@@ -212,7 +202,7 @@ def read_labels(path: str | Path) -> Labels:
                 raise StructuralError(
                     f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
                 )
-            labels[pair_id] = kinds.get(parts[2])
+            labels.append(kinds.get(parts[2]))
     return labels
 
 
@@ -254,48 +244,45 @@ def ranking_auc(scored: list[tuple[float, bool]]) -> float:
     return u / (n_clean * n_corrupted)
 
 
-def _id_mismatch(rec_ids: Counter[int], labels: Labels) -> str:
-    """Why the score file and the labels do not hold the same ids, each once:
-    the least id the score file repeats, and for each side the least id it
-    lacks. Only the score file can repeat an id."""
-    faults = []
-    repeated = [pair_id for pair_id, n in rec_ids.items() if n > 1]
-    if repeated:
-        faults.append(f"the score file repeats id {min(repeated)}")
-    for side, ids, other in (
-        ("score file", rec_ids.keys(), labels.keys()),
-        ("labels file", labels.keys(), rec_ids.keys()),
-    ):
-        missing = other - ids
-        if missing:
-            more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
-            faults.append(f"the {side} lacks id {min(missing)}{more}")
-    return "; ".join(faults)
-
-
-def evaluate_filter(records: Iterable[ScoreRecord], labels: Labels) -> FilterReport:
+def evaluate_filter(
+    records: Iterable[ScoreRecord],
+    labels: Labels,
+    *,
+    scores_name: str = "the score file",
+    labels_name: str = "the labels file",
+) -> FilterReport:
     """Score the filter against ground truth: AUC, precision/recall at the
-    clean count, and mean combined score per corruption kind."""
-    records = list(records)
-    rec_ids = Counter(r.pair_id for r in records)
-    # Equal id sets and equal sizes: the score file holds each id once.
-    if rec_ids.keys() != labels.keys() or len(records) != len(labels):
-        raise StructuralError(f"score/label id mismatch: {_id_mismatch(rec_ids, labels)}")
+    clean count, and mean combined score per corruption kind.
 
-    scored = [(r.combined, labels[r.pair_id] is None) for r in records]
-    n_clean = sum(1 for _, clean in scored if clean)
-    n_corrupted = len(scored) - n_clean
-    auc = ranking_auc(scored)
+    ``records`` come as :func:`~pairsieve.scoring.read_score_file` or
+    :func:`~pairsieve.scoring.score_corpus` yields them, so record i is pair
+    i, as label i is; only the counts are checked, naming both inputs by
+    ``scores_name`` and ``labels_name``.
+    """
+    records = list(records)
+    if len(records) != len(labels):
+        raise StructuralError(
+            f"{scores_name} holds {len(records)} scored pairs but {labels_name} holds "
+            f"{len(labels)} labels; the labels are for another corpus"
+        )
+    n_clean = labels.count(None)
+    n_corrupted = len(labels) - n_clean
+    if not (n_clean and n_corrupted):
+        raise StructuralError(
+            f"{labels_name}: {n_clean} clean and {n_corrupted} corrupted pairs; "
+            "evaluate needs at least one of each"
+        )
+
+    auc = ranking_auc([(r.combined, kind is None) for r, kind in zip(records, labels)])
 
     top = select_top_n(records, n_clean).selected_ids
     clean_in_top = sum(1 for pair_id in top if labels[pair_id] is None)
     # With as many pairs taken as there are clean ones, precision is recall.
-    precision = recall = clean_in_top / n_clean if n_clean else 0.0
+    precision = recall = clean_in_top / n_clean
 
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for r in records:
-        kind = labels[r.pair_id]
+    for r, kind in zip(records, labels):
         key = "clean" if kind is None else kind.value
         sums[key] = sums.get(key, 0.0) + r.combined
         counts[key] = counts.get(key, 0) + 1
@@ -308,7 +295,7 @@ def evaluate_filter(records: Iterable[ScoreRecord], labels: Labels) -> FilterRep
         auc=auc,
         precision_at_clean=precision,
         recall_at_clean=recall,
-        mean_combined_clean=means.get("clean", 0.0),
+        mean_combined_clean=means["clean"],
         mean_combined_by_kind={
             kind.value: means[kind.value] for kind in NoiseKind if kind.value in means
         },

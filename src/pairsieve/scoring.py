@@ -35,7 +35,7 @@ from .errors import (
 )
 from .forked import forked_map
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
-from .model_file import numbered_lines
+from .model_file import id_rule_message, numbered_lines
 from .ngram_lm import NgramLanguageModel, cross_entropy
 
 Scorer = Callable[[SentencePair], float]
@@ -296,10 +296,7 @@ def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
         for line_no, line in lines:
             record = parse_record(line.rstrip("\n"), name, line_no)
             if record.pair_id != line_no - 2:
-                raise ModelFormatError(
-                    f"{path}: line {line_no}: id {record.pair_id}, expected {line_no - 2};"
-                    " ids count 0, 1, 2, ... in line order"
-                )
+                raise ModelFormatError(id_rule_message(path, line_no, record.pair_id, line_no - 2))
             yield record
 
 

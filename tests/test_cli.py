@@ -444,7 +444,7 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
     )
     assert code == 0
     labels = read_labels(tmp_path / "labels.tsv")
-    assert sum(1 for kind in labels.values() if kind is not None) == 30
+    assert len(labels) - labels.count(None) == 30
     write_labels(labels, tmp_path / "labels.again.tsv")
     assert (tmp_path / "labels.again.tsv").read_bytes() == (tmp_path / "labels.tsv").read_bytes()
 
@@ -474,11 +474,6 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
             id="invalid-utf8",
         ),
         pytest.param(
-            b"0\tclean\t-\n1\tcorrupted\tshuffle\n1\tclean\t-\n",
-            "line 3: id 1 repeats line 2",
-            id="repeated-id",
-        ),
-        pytest.param(
             b"0\tclean\t-\n1\tcorrupted\t-\n",
             "line 2: corrupted pair with kind '-'; "
             "a clean pair has kind '-' and a corrupted one names its kind",
@@ -506,6 +501,29 @@ def test_evaluate_names_the_bad_line_of_a_label_file(tmp_path, caplog, labels, m
                    "--report", tmp_path / "report.tsv") == 1
     (record,) = caplog.records
     assert record.message == f"{path}: {message}"
+    assert not (tmp_path / "report.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (b"0\tclean\t-\n1\tcorrupted\tshuffle\n",
+         "{scores} holds 3 scored pairs but {labels} holds 2 labels; "
+         "the labels are for another corpus"),
+        (b"0\tclean\t-\n1\tclean\t-\n2\tclean\t-\n",
+         "{labels}: 3 clean and 0 corrupted pairs; evaluate needs at least one of each"),
+    ],
+    ids=["count-mismatch", "no-corrupted-pair"],
+)
+def test_evaluate_names_the_files_it_cannot_compare(tmp_path, caplog, labels, message):
+    scores, path = tmp_path / "s.tsv", tmp_path / "labels.tsv"
+    write_score_file([ScoreRecord(i, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, c)
+                      for i, c in enumerate((0.9, 0.5, 0.1))], scores)
+    path.write_bytes(labels)
+    assert run_cli("evaluate", "--scores", scores, "--labels", path,
+                   "--report", tmp_path / "report.tsv") == 1
+    (record,) = caplog.records
+    assert record.message == message.format(scores=scores, labels=path)
     assert not (tmp_path / "report.tsv").exists()
 
 

@@ -246,12 +246,6 @@ def test_a_table_called_on_a_pair_scores_it(bad_id):
     )
 
 
-def test_external_scores_duplicate_id(tmp_path):
-    (tmp_path / "s.tsv").write_text("0\t1.5\n0\t2.0\n", encoding="utf-8")
-    with pytest.raises(ExternalScoreError, match="duplicate"):
-        load_external_scores(tmp_path / "s.tsv")
-
-
 def test_external_scores_non_numeric(tmp_path):
     (tmp_path / "s.tsv").write_text("0\tabc\n", encoding="utf-8")
     with pytest.raises(ExternalScoreError, match="non-numeric"):
@@ -266,35 +260,11 @@ def test_external_scores_reject_a_negative_or_non_finite_value_with_file_and_lin
     assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: score {bad!r} is not finite and >= 0"
 
 
-def test_external_scores_must_be_dense(tmp_path):
-    (tmp_path / "s.tsv").write_text("0\t1.0\n2\t1.0\n", encoding="utf-8")
-    with pytest.raises(ExternalScoreError, match="dense"):
-        load_external_scores(tmp_path / "s.tsv")
-
-
-def test_external_scores_reject_a_negative_id_with_file_line_and_id(tmp_path):
-    (tmp_path / "s.tsv").write_text("0\t1.0\n-1\t2.0\n", encoding="utf-8")
-    with pytest.raises(ExternalScoreError) as info:
-        load_external_scores(tmp_path / "s.tsv")
-    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: negative id '-1'"
-
-
-@pytest.mark.parametrize(
-    "bad_id", ["+2", " 3 ", "1_0", "\u0661"], ids=["plus", "spaces", "underscore", "arabic-indic"]
-)
-def test_external_scores_accept_only_ascii_digit_ids(tmp_path, bad_id):
-    """int() takes each of these ids; a table id is ASCII digits only, so
-    the table fails at the line that holds it."""
-    (tmp_path / "s.tsv").write_text(f"0\t1.0\n{bad_id}\t2.0\n", encoding="utf-8")
-    with pytest.raises(ExternalScoreError) as info:
-        load_external_scores(tmp_path / "s.tsv")
-    assert str(info.value) == f"{tmp_path / 's.tsv'}: line 2: non-integer id {bad_id!r}"
-
-
 # The bulk path: a table whose line i is "i<TAB>value" loads a block at a
 # time. Small blocks make a short table span many of them, with block ends
 # inside lines and on line ends.
 BLOCK_SIZES = [1, 7, 16, 64]
+ID_RULE = "; ids count 0, 1, 2, ... in line order"
 TABLE_VALUES = [round(0.37 * i % 9.5, 6) for i in range(50)]
 
 
@@ -303,14 +273,14 @@ def in_order_table(values=TABLE_VALUES):
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_in_order_table_loads_in_blocks_without_the_line_loop(tmp_path, monkeypatch, block):
+def test_a_valid_table_loads_in_blocks_without_the_failure_pass(tmp_path, monkeypatch, block):
     (tmp_path / "s.tsv").write_text(in_order_table(), encoding="utf-8")
     monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
 
-    def no_line_loop(path):
-        raise AssertionError("an in-order table reached the line loop")
+    def no_failure_pass(path):
+        raise AssertionError("a valid table was read a second time")
 
-    monkeypatch.setattr(lexical_tm, "_read_any_order", no_line_loop)
+    monkeypatch.setattr(lexical_tm, "_first_bad_line", no_failure_pass)
     table = load_external_scores(tmp_path / "s.tsv")
     assert [table.lookup(i) for i in range(len(table))] == TABLE_VALUES
     assert table._scores.typecode == "d"  # 8 bytes per score
@@ -359,19 +329,55 @@ def test_a_misaligned_table_fails_at_line_1(tmp_path, monkeypatch, block):
 @pytest.mark.parametrize(
     "text",
     [
-        "2\t0.75\n0\t1.5\n1\t0.25\n",  # ids out of order
-        "0\t1.5\n\n1\t0.25\n2\t0.75\n",  # a blank line
         "0\t1.5\r\n1\t0.25\r\n2\t0.75\r\n",  # CRLF line ends
-        "0\t1.5\n01\t0.25\n2\t0.75\n",  # an id written 01
         "0\t1.5\n1\t0.25\n2\t0.75",  # no final newline
     ],
-    ids=["out-of-order", "blank-line", "crlf", "id-01", "no-final-newline"],
+    ids=["crlf", "no-final-newline"],
 )
 def test_other_layouts_load_the_same_values(tmp_path, monkeypatch, block, text):
     (tmp_path / "s.tsv").write_bytes(text.encode("utf-8"))
     monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
     table = load_external_scores(tmp_path / "s.tsv")
     assert [table.lookup(i) for i in range(len(table))] == [1.5, 0.25, 0.75]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\t0.75\n0\t1.5\n1\t0.25\n", "line 1: id 2, expected 0" + ID_RULE),
+        ("0\t1.5\n\n1\t0.25\n2\t0.75\n", "line 2: expected 'id\\tscore', got ''"),
+        ("0\t1.5\n01\t0.25\n2\t0.75\n", "line 2: id 01, expected 1" + ID_RULE),
+    ],
+    ids=["out-of-order", "blank-line", "id-01"],
+)
+def test_a_table_off_the_id_rule_fails_at_its_line(
+    tmp_path, monkeypatch, block, text, message
+):
+    """Line k holds pair k − 1: ids in another order, a blank line and an id
+    written otherwise than str(k − 1) each fail at their line."""
+    (tmp_path / "s.tsv").write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: {message}"
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_a_table_whose_values_sum_past_the_largest_float_loads(tmp_path, monkeypatch, block):
+    """Each value is finite though their sum overflows, so each is tested on
+    its own."""
+    (tmp_path / "s.tsv").write_text("0\t1e308\n1\t1e308\n", encoding="utf-8")
+    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    table = load_external_scores(tmp_path / "s.tsv")
+    assert [table.lookup(0), table.lookup(1)] == [1e308, 1e308]
+
+
+def test_an_empty_table_fails(tmp_path):
+    (tmp_path / "s.tsv").write_text("", encoding="utf-8")
+    with pytest.raises(ExternalScoreError) as info:
+        load_external_scores(tmp_path / "s.tsv")
+    assert str(info.value) == f"{tmp_path / 's.tsv'}: empty score table"
 
 
 # ---------------------------------------------------------------------------

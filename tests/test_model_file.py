@@ -1,16 +1,25 @@
-"""Load errors of the two model-file loaders, and how they and the score-file
-reader behave on damaged files."""
+"""Load errors of the two model-file loaders, how they and the readers of the
+id-keyed files (score files, external score tables, labels files) behave on
+damaged files, and the id rule those three readers share."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsieve.corpus import SentencePair, tokenize
-from pairsieve.errors import IncompatibleModelError, ModelFormatError
-from pairsieve.lexical_tm import load_tm, save_tm, train_model1
+from pairsieve import lexical_tm
+from pairsieve.errors import (
+    ExternalScoreError,
+    IncompatibleModelError,
+    ModelFormatError,
+    StructuralError,
+)
+from pairsieve.lexical_tm import load_external_scores, load_tm, save_tm, train_model1
 from pairsieve.ngram_lm import load_lm, save_lm, train_ngram
-from pairsieve.scoring import ScoreRecord, read_score_file
+from pairsieve.noise import read_labels
+from pairsieve.scoring import SCORE_HEADER, ScoreRecord, read_score_file
 
 from score_records import write_score_file
 
@@ -293,6 +302,119 @@ def test_a_damaged_score_file_parses_or_raises_model_format_error(saved_scores, 
         list(read_score_file(path))
     except ModelFormatError:
         pass
+
+
+@pytest.fixture(scope="module")
+def saved_id_keyed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("id-keyed")
+    values = ["1.5", "0.25", "12", "3e-05", "0", "7.125"]
+    (root / "m.tab").write_text(
+        "".join(f"{i}\t{v}\n" for i, v in enumerate(values)), encoding="utf-8"
+    )
+    (root / "m.labels").write_text(
+        "0\tclean\t-\n1\tcorrupted\tshuffle\n2\tclean\t-\n"
+        "3\tcorrupted\tmisalign\n4\tcorrupted\twrong_language\n5\tclean\t-\n",
+        encoding="utf-8",
+    )
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.sampled_from([7, lexical_tm.TABLE_BLOCK_CHARS]),
+       mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_a_damaged_table_loads_or_raises_external_score_error(saved_id_keyed, block, mutations):
+    """A table loads one score per line, each finite and >= 0, or fails."""
+    path = saved_id_keyed / "mutated.tab"
+    data = mutate((saved_id_keyed / "m.tab").read_bytes(), mutations)
+    path.write_bytes(data)
+    try:
+        with mock.patch.object(lexical_tm, "TABLE_BLOCK_CHARS", block):
+            table = load_external_scores(path)
+    except ExternalScoreError:
+        return
+    scores = [table.lookup(i) for i in range(len(table))]
+    assert len(scores) == len(data.decode("utf-8").splitlines())
+    assert all(0.0 <= score < float("inf") for score in scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_a_damaged_labels_file_reads_or_raises_structural_error(saved_id_keyed, mutations):
+    """A labels file reads to one label per line, or fails."""
+    path = saved_id_keyed / "mutated.labels"
+    data = mutate((saved_id_keyed / "m.labels").read_bytes(), mutations)
+    path.write_bytes(data)
+    try:
+        labels = read_labels(path)
+    except StructuralError:
+        return
+    assert len(labels) == len(data.decode("utf-8").splitlines())
+
+
+# Each id-keyed format: its text for a list of ids, its reader, its error type
+# and the line its first record is on.
+ID_KEYED = {
+    "score-file": (
+        lambda ids: "\t".join(SCORE_HEADER) + "\n"
+        + "".join(f"{i}\t1\t1\t1\t1\t0.5\t0.5\t0.25\t-\n" for i in ids),
+        lambda path: list(read_score_file(path)),
+        ModelFormatError,
+        2,
+    ),
+    "table": (
+        lambda ids: "".join(f"{i}\t1.5\n" for i in ids),
+        load_external_scores,
+        ExternalScoreError,
+        1,
+    ),
+    "labels": (
+        lambda ids: "".join(f"{i}\tclean\t-\n" for i in ids),
+        read_labels,
+        StructuralError,
+        1,
+    ),
+}
+# (name, ids, position of the first bad id)
+ID_CASES = [
+    ("repeated", ["0", "1", "1"], 2),
+    ("skipped", ["0", "2", "1"], 1),
+    ("from-1", ["1", "2", "3"], 0),
+    ("negative", ["0", "-1"], 1),
+]
+# Ids that int() reads as 1 or 10. Only tables and labels files are given
+# them: a score file's id is read as an integer.
+TEXT_ID_CASES = [
+    ("plus", ["0", "+1"], 1),
+    ("zero-padded", ["0", "01"], 1),
+    ("arabic-indic", ["0", "\u0661"], 1),
+    ("underscore", ["0", "1_0"], 1),
+    ("spaces", ["0", " 1 "], 1),
+]
+ID_READERS = [("score-file", None), ("labels", None), *(("table", b) for b in (1, 7, 16, 64))]
+ID_RULE_PARAMS = [
+    pytest.param(fmt, block, ids, bad, id=f"{fmt}{f'-{block}' if block else ''}-{name}")
+    for fmt, block in ID_READERS
+    for name, ids, bad in ID_CASES + (TEXT_ID_CASES if fmt != "score-file" else [])
+]
+
+
+@pytest.mark.parametrize("fmt, block, ids, bad", ID_RULE_PARAMS)
+def test_every_id_keyed_reader_fails_at_the_first_id_off_the_rule(
+    tmp_path, monkeypatch, fmt, block, ids, bad
+):
+    """Ids count 0, 1, 2, ... in line order in every id-keyed file, and each
+    reader words a break of that rule alike, at every table block size."""
+    text_of, read, error, first_line = ID_KEYED[fmt]
+    path = tmp_path / "f.tsv"
+    path.write_text(text_of(ids), encoding="utf-8")
+    if block:
+        monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value) == (
+        f"{path}: line {first_line + bad}: id {ids[bad]}, expected {bad}; "
+        "ids count 0, 1, 2, ... in line order"
+    )
 
 
 def test_loading_a_table_holds_little_more_than_the_table(tmp_path):

@@ -148,7 +148,7 @@ def test_labels_round_trip(tmp_path):
 
 def test_precision_at_k_hand_count():
     records = [rec(0, 0.9), rec(1, 0.8), rec(2, 0.1)]
-    labels = {0: None, 1: NoiseKind.SHUFFLE, 2: None}
+    labels = [None, NoiseKind.SHUFFLE, None]
     report = evaluate_filter(records, labels)
     assert report.precision_at_clean == pytest.approx(0.5)
     assert report.recall_at_clean == pytest.approx(0.5)
@@ -156,13 +156,13 @@ def test_precision_at_k_hand_count():
 
 def test_auc_is_one_for_perfect_separation():
     records = [rec(i, 1.0 - 0.1 * i) for i in range(6)]
-    labels = {i: None if i < 3 else NoiseKind.SHUFFLE for i in range(6)}
+    labels = [None if i < 3 else NoiseKind.SHUFFLE for i in range(6)]
     assert evaluate_filter(records, labels).auc == pytest.approx(1.0)
 
 
 def test_auc_is_half_for_constant_scores():
     records = [rec(i, 0.5) for i in range(10)]
-    labels = {i: None if i % 2 == 0 else NoiseKind.TRUNCATE for i in range(10)}
+    labels = [None if i % 2 == 0 else NoiseKind.TRUNCATE for i in range(10)]
     assert evaluate_filter(records, labels).auc == pytest.approx(0.5)
 
 
@@ -187,34 +187,45 @@ def test_auc_invariant_under_increasing_transform(scores, flip):
     assert transformed == pytest.approx(base, abs=1e-12)
 
 
-def test_evaluation_rejects_mismatched_ids():
-    records = [rec(0, 0.5), rec(1, 0.5)]
-    labels = {0: None, 2: NoiseKind.SHUFFLE}
-    with pytest.raises(StructuralError, match="mismatch"):
-        evaluate_filter(records, labels)
+@pytest.mark.parametrize(
+    "n_records, n_labels", [(2, 3), (3, 2)], ids=["labels-more", "scores-more"]
+)
+def test_evaluation_names_both_files_when_the_counts_differ(n_records, n_labels):
+    records = [rec(i, 0.5) for i in range(n_records)]
+    labels = [None if i % 2 == 0 else NoiseKind.SHUFFLE for i in range(n_labels)]
+    with pytest.raises(StructuralError) as info:
+        evaluate_filter(records, labels, scores_name="s.tsv", labels_name="l.tsv")
+    assert str(info.value) == (
+        f"s.tsv holds {n_records} scored pairs but l.tsv holds {n_labels} labels; "
+        "the labels are for another corpus"
+    )
 
 
 @pytest.mark.parametrize(
-    "rec_ids, lab_ids, why",
-    [
-        ([0, 1, 1], [0, 1, 2], "the score file repeats id 1; the score file lacks id 2"),
-        ([0, 1, 1], [0, 1], "the score file repeats id 1"),
-        ([0, 1, 2, 3], [0, 1], "the labels file lacks id 2 and 1 more"),
-        ([0, 2], [0, 1], "the score file lacks id 1; the labels file lacks id 2"),
-    ],
-    ids=["score-file-repeats", "score-file-repeats-only", "labels-lack", "both-sides"],
+    "labels, counts",
+    [([None, None], "2 clean and 0"), ([NoiseKind.SHUFFLE] * 2, "0 clean and 2")],
+    ids=["all-clean", "all-corrupted"],
 )
-def test_evaluation_names_the_repeated_id_and_the_side_that_lacks_one(rec_ids, lab_ids, why):
-    records = [rec(i, 0.5) for i in rec_ids]
-    labels = {i: None if i % 2 == 0 else NoiseKind.SHUFFLE for i in lab_ids}
+def test_evaluation_needs_a_clean_and_a_corrupted_pair(labels, counts):
+    records = [rec(0, 0.5), rec(1, 0.25)]
     with pytest.raises(StructuralError) as info:
-        evaluate_filter(records, labels)
-    assert str(info.value) == f"score/label id mismatch: {why}"
+        evaluate_filter(records, labels, labels_name="l.tsv")
+    assert str(info.value) == (
+        f"l.tsv: {counts} corrupted pairs; evaluate needs at least one of each"
+    )
+
+
+def test_corruption_needs_ids_0_to_n_minus_1():
+    pairs = corpus(10)
+    pairs[3].id = 10
+    with pytest.raises(StructuralError) as info:
+        inject_noise(pairs, NoiseSpec(rate=0.2, seed=1), THIRD)
+    assert str(info.value) == "pair ids must be 0 to 9, each once"
 
 
 def test_report_has_per_kind_means():
     records = [rec(0, 0.9), rec(1, 0.2), rec(2, 0.4)]
-    labels = {0: None, 1: NoiseKind.COPY_SOURCE, 2: NoiseKind.SHUFFLE}
+    labels = [None, NoiseKind.COPY_SOURCE, NoiseKind.SHUFFLE]
     report = evaluate_filter(records, labels)
     assert report.mean_combined_clean == pytest.approx(0.9)
     assert report.mean_combined_by_kind == {
