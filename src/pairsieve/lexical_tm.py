@@ -6,8 +6,9 @@ one model per direction. It is the simplest model with a genuine conditional
 P(y|x), which is all the downstream score algebra needs; externally computed
 conditional cross-entropies can be substituted via :func:`load_external_scores`.
 
-Scoring uses the same conventions as the language models: nats per token,
-normalized by the token count of the generated side.
+Scoring gives nats per token of the generated side, which for the reverse
+model is the source: a sentence of m generated tokens is scored over m
+events, with no end event (the language models score m + 1).
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from .errors import (
     ModelFormatError,
     TrainingError,
 )
-from .model_file import ModelFile, first_line, id_rule_message, numbered_lines
+from .model_file import (
+    IdKeyedFormat,
+    ModelFile,
+    check_finite_nonnegative,
+    first_line,
+    float_column,
+    numbered_lines,
+    read_id_keyed,
+)
 
 # The empty string can never collide with a real token (tokens are maximal
 # non-whitespace runs), so it doubles as the NULL word key.
@@ -43,8 +52,6 @@ _VERSION = 1
 
 DEFAULT_ITERATIONS = 5
 DEFAULT_MIN_GAIN = 1e-6  # nats per pair; early-stop cutoff
-
-TABLE_BLOCK_CHARS = 1 << 18  # an in-order score table is read 256 KiB at a time
 
 EmTrace = list[float]
 
@@ -269,8 +276,11 @@ class ExternalScoreTable:
     pair, the table is that pair's scorer.
 
     The bridge for scores produced outside the toolkit (for example by neural
-    translation models). Scores must use the shared convention: nats per
-    token of the generated side, end event included. They are held as one
+    translation models). A table follows the convention of the scorer it
+    stands in for (README, "Scoring conventions"): a language model's nats
+    per target token over m + 1 events, end event included, or the built-in
+    TM's nats per generated token over m events, none for the end. The two
+    directions must share one convention. Scores are held as one
     ``array('d')``, 8 bytes per score; any other sequence is copied into one.
     """
 
@@ -300,63 +310,23 @@ class ExternalScoreTable:
         )
 
 
+def _table_scores(ids: range, scores: list[str]) -> array:
+    values = float_column("score", scores)
+    check_finite_nonnegative("score", scores, values)
+    return array("d", values)
+
+
+EXTERNAL_SCORE_TABLE = IdKeyedFormat("score table", 2, _table_scores, ExternalScoreError)
+
+
 def load_external_scores(path: str | Path) -> ExternalScoreTable:
     """Load a headerless TSV of ``id<TAB>cross-entropy`` lines: line k holds
     pair k − 1, its id written as ``str(k − 1)``, and each value is finite
-    and >= 0. The table is read a block at a time; only a table that breaks
-    the rule is read again, line by line, to raise :class:`ExternalScoreError`
-    naming its first bad line."""
+    and >= 0. A table that breaks the rule raises :class:`ExternalScoreError`
+    naming its first bad line (see :func:`~pairsieve.model_file.read_id_keyed`)."""
     scores = array("d")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while block := fh.read(TABLE_BLOCK_CHARS):
-                if block[-1] != "\n":
-                    block += fh.readline()
-                    if block[-1] != "\n":  # the last line has no newline
-                        block += "\n"
-                fields = block.replace("\n", "\t").split("\t")
-                values = fields[1::2]
-                ids = map(str, range(len(scores), len(scores) + len(values)))
-                # Rebuilt from its ids and values, the block must come out the
-                # same: one tab per line and line i's id written as str(i).
-                if "\n".join(map("\t".join, zip(ids, values))) + "\n" != block:
-                    raise ValueError("a line breaks the rule")
-                block_scores = array("d", map(float, values))
-                # Cross-entropies are >= 0; a nan or inf makes the sum fail, but
-                # so do finite values whose sum overflows: only then is each
-                # value tested on its own.
-                if not (min(block_scores) >= 0.0 and sum(block_scores) < math.inf):
-                    if not all(0.0 <= value < math.inf for value in block_scores):
-                        raise ValueError("a value is not finite and >= 0")
-                scores.extend(block_scores)
-    except ValueError:  # also a value that does not parse, or text that is not UTF-8
-        raise _first_bad_line(path) from None
+    for block in read_id_keyed(path, EXTERNAL_SCORE_TABLE):
+        scores.extend(block)
     if not scores:
         raise ExternalScoreError(f"{path}: empty score table")
     return ExternalScoreTable(scores, source=str(path))
-
-
-def _first_bad_line(path: str | Path) -> ExternalScoreError:
-    """The error for the first line of the table that breaks the rule, found
-    by reading it again line by line; invalid UTF-8 raises from the read."""
-    with numbered_lines(path, ExternalScoreError) as lines:
-        for line_no, line in lines:
-            line = line.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                return ExternalScoreError(
-                    f"{path}: line {line_no}: expected 'id\\tscore', got {line!r}"
-                )
-            if parts[0] != str(line_no - 1):
-                return ExternalScoreError(id_rule_message(path, line_no, parts[0], line_no - 1))
-            try:
-                value = float(parts[1])
-            except ValueError:
-                return ExternalScoreError(
-                    f"{path}: line {line_no}: non-numeric score {parts[1]!r}"
-                )
-            if not 0.0 <= value < math.inf:  # false for nan too
-                return ExternalScoreError(
-                    f"{path}: line {line_no}: score {parts[1]!r} is not finite and >= 0"
-                )
-    return ExternalScoreError(f"{path}: the table changed while it was read")

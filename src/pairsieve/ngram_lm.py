@@ -1,12 +1,14 @@
 """Add-k smoothed n-gram language models and word-normalized cross-entropy.
 
-Conventions shared with every other scorer in the toolkit:
+Conventions:
 
-* natural log everywhere (scores are nats per token);
+* natural log everywhere (scores are nats per token), as in every scorer;
 * the end-of-sentence event is part of both the log-prob sum and the
   normalizing length, so a sentence of ``m`` tokens is scored over ``m + 1``
   events — this makes the model a proper distribution over variable-length
-  sentences and external score files must follow the same convention;
+  sentences. An external table that stands in for a language model follows
+  the same convention; the built-in translation model does not (it scores
+  ``m`` events, see :mod:`pairsieve.lexical_tm`);
 * out-of-vocabulary tokens are scored as ``<unk>``.
 """
 

@@ -9,6 +9,7 @@ it is iterated or sharded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Iterable
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
-from .model_file import id_rule_message, numbered_lines
+from .model_file import IdKeyedFormat, read_id_keyed
 from .scoring import ScoreRecord
 from .selection import select_top_n
 
@@ -177,33 +178,33 @@ def write_labels(labels: Labels, path: str | Path) -> int:
     return len(labels)
 
 
+# Each (status, kind) text pair a labels line may hold, and its label.
+_LABEL_OF = {("clean", "-"): None, **{("corrupted", kind.value): kind for kind in NoiseKind}}
+
+
+def _labels(ids: range, statuses: list[str], kinds: list[str]) -> Labels:
+    try:
+        return list(map(_LABEL_OF.__getitem__, zip(statuses, kinds)))
+    except KeyError as exc:
+        status, kind = exc.args[0]
+    if status not in ("clean", "corrupted"):
+        raise ValueError(f"expected status 'clean' or 'corrupted', got {status!r}")
+    if (status == "clean") != (kind == "-"):
+        raise ValueError(
+            f"{status} pair with kind {kind!r}; "
+            "a clean pair has kind '-' and a corrupted one names its kind"
+        )
+    raise ValueError(f"unknown corruption kind {kind!r}")
+
+
+LABELS_FILE = IdKeyedFormat("labels", 3, _labels, StructuralError)
+
+
 def read_labels(path: str | Path) -> Labels:
     """Labels from ``id<TAB>clean|corrupted<TAB>kind`` lines. Ids count 0, 1,
     2, ... in line order, so label i is pair i. A clean pair's kind is ``-``;
     a corrupted pair names one of the NoiseKind values."""
-    labels: Labels = []
-    kinds = {kind.value: kind for kind in NoiseKind}
-    with numbered_lines(path, StructuralError) as lines:
-        for line_no, line in lines:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or parts[1] not in ("clean", "corrupted"):
-                raise StructuralError(
-                    f"{path}: line {line_no}: expected 'id\\tclean|corrupted\\tkind'"
-                )
-            if parts[0] != str(line_no - 1):
-                raise StructuralError(id_rule_message(path, line_no, parts[0], line_no - 1))
-            clean = parts[1] == "clean"
-            if clean != (parts[2] == "-"):
-                raise StructuralError(
-                    f"{path}: line {line_no}: {parts[1]} pair with kind {parts[2]!r}; "
-                    "a clean pair has kind '-' and a corrupted one names its kind"
-                )
-            if not clean and parts[2] not in kinds:
-                raise StructuralError(
-                    f"{path}: line {line_no}: unknown corruption kind {parts[2]!r}"
-                )
-            labels.append(kinds.get(parts[2]))
-    return labels
+    return list(itertools.chain.from_iterable(read_id_keyed(path, LABELS_FILE)))
 
 
 @dataclass

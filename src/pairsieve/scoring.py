@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .forked import forked_map
 from .lexical_tm import ExternalScoreTable, LexicalTranslationModel, _oriented, cond_cross_entropy
-from .model_file import id_rule_message, numbered_lines
+from .model_file import IdKeyedFormat, check_finite_nonnegative, float_column, read_id_keyed
 from .ngram_lm import NgramLanguageModel, cross_entropy
 
 Scorer = Callable[[SentencePair], float]
@@ -240,64 +241,70 @@ def format_record(record: ScoreRecord) -> str:
     return _RECORD_FORMAT % record
 
 
-def parse_record(line: str, path: str, line_no: int) -> ScoreRecord:
-    try:
-        pair_id, h_fwd, h_rev, h_in, h_out, adq, dom, combined, flags = line.split("\t")
-    except ValueError:
-        found = line.count("\t") + 1
-        raise ModelFormatError(
-            f"{path}: line {line_no}: expected {len(SCORE_HEADER)} columns, found {found}"
-        ) from None
-    try:
-        record = ScoreRecord._make((
-            int(pair_id),
-            float(h_fwd),
-            float(h_rev),
-            float(h_in),
-            float(h_out),
-            float(adq),
-            float(dom),
-            float(combined),
-            flags,
-        ))
-    except ValueError:
-        raise ModelFormatError(
-            f"{path}: line {line_no}: non-numeric field in {line!r}"
-        ) from None
-    # Each comparison is false for nan, so nan fails too.
-    if not (
-        0.0 <= record.adq <= 1.0 and 0.0 <= record.dom <= 1.0 and 0.0 <= record.combined <= 1.0
-    ):
-        name, text = next(
-            (name, text)
-            for name, text in (("adq", adq), ("dom", dom), ("combined", combined))
-            if not 0.0 <= float(text) <= 1.0
-        )
-        raise ModelFormatError(f"{path}: line {line_no}: {name} {text!r} is outside [0, 1]")
-    if flags not in _FLAG_TEXTS:
-        bad = [f for f in flags.split(",") if f not in _FLAG_NAMES]
-        if bad:
-            raise ModelFormatError(f"{path}: line {line_no}: unknown flags {bad}")
-        raise ModelFormatError(
-            f"{path}: line {line_no}: flags {flags!r} repeat a flag or are out of order"
-            f" (order: {','.join(_FLAG_NAMES)})"
-        )
-    return record
+_UNFLAGGED = frozenset(("-", "trusted"))  # any other flags text marks a flagged record
+# Printed to 6 significant digits, adq, dom and combined are each off by at
+# most 5e-6 of their value, so combined and adq * dom differ by at most 1.5e-5
+# of it, and a little more for the products' own rounding; the absolute term
+# allows for the steps of subnormal floats.
+_PRODUCT_REL, _PRODUCT_ABS = 1.6e-5, 2e-323
+_new_record = tuple.__new__  # ScoreRecord._make without its Python frame
+
+
+def _score_records(ids: range, *columns: list[str]) -> list[ScoreRecord]:
+    """The checked records of a run of score lines, from their columns' text.
+    Each check runs once over the run; only flagged records, rare in a crawl,
+    are looked at one by one."""
+    *texts, flags = columns
+    values = [float_column(name, column) for name, column in zip(SCORE_HEADER[1:], texts)]
+    h, adq = values[:4], values[4]
+    if not _FLAG_TEXTS.issuperset(flags):
+        text = next(f for f in flags if f not in _FLAG_TEXTS)
+        unknown = [f for f in text.split(",") if f not in _FLAG_NAMES]
+        if unknown:
+            raise ValueError(f"unknown flags {unknown}")
+        order = ",".join(_FLAG_NAMES)
+        raise ValueError(f"flags {text!r} repeat a flag or are out of order (order: {order})")
+    # combined first, the weight every reader takes. A nan can pass min and
+    # max of a run, but not the product check below, and then the run is
+    # read again a record at a time, where min and max catch it.
+    for i in (6, 4, 5):
+        if not (0.0 <= min(values[i]) and max(values[i]) <= 1.0):
+            bad = next(t for t, v in zip(texts[i], values[i]) if not 0.0 <= v <= 1.0)
+            raise ValueError(f"{SCORE_HEADER[i + 1]} {bad!r} is outside [0, 1]")
+    h_texts = texts[:4]
+    if flags.count("-") != len(flags):  # some record is trusted or flagged
+        if min(itertools.compress(adq, map("trusted".__eq__, flags)), default=1.0) != 1.0:
+            bad = next(t for t, f in zip(texts[4], flags) if f == "trusted" and float(t) != 1.0)
+            raise ValueError(f"trusted record with adq {bad!r}; a trusted record has adq 1")
+        unflagged = list(map(_UNFLAGGED.__contains__, flags))
+        for i in itertools.compress(range(len(flags)), map(operator.not_, unflagged)):
+            for name, column, column_texts in zip(SCORE_HEADER[1:], values, texts):
+                if not (math.isnan(column[i]) if name.startswith("h_") else column[i] == 0.0):
+                    raise ValueError(
+                        f"flags {flags[i]!r} with {name} {column_texts[i]!r}; a flagged record"
+                        " has nan cross-entropies and adq, dom and combined 0"
+                    )
+        h_texts = [list(itertools.compress(column, unflagged)) for column in h_texts]
+        h = [list(itertools.compress(column, unflagged)) for column in h]
+    for name, column_texts, column in zip(SCORE_HEADER[1:], h_texts, h):
+        check_finite_nonnegative(name, column_texts, column)
+    agree = [abs(c - a * d) <= _PRODUCT_REL * a * d + _PRODUCT_ABS for a, d, c in zip(*values[4:])]
+    if not all(agree):
+        a, d, c = (column[agree.index(False)] for column in texts[4:])
+        raise ValueError(f"combined {c!r} is not adq * dom ({a} * {d}) to 6 significant digits")
+    return list(map(_new_record, itertools.repeat(ScoreRecord), zip(ids, *values, flags)))
+
+
+SCORE_FILE = IdKeyedFormat(
+    "score", len(SCORE_HEADER), _score_records, ModelFormatError, "\t".join(SCORE_HEADER)
+)
 
 
 def read_score_file(path: str | Path) -> Iterator[ScoreRecord]:
-    """Stream records back from a score file written by score_corpus_to_file.
-    Ids must count 0, 1, 2, ... in line order, so record i is pair i."""
-    name = str(path)
-    with numbered_lines(path, ModelFormatError) as lines:
-        _, header = next(lines, (1, ""))
-        if header.rstrip("\n") != "\t".join(SCORE_HEADER):
-            raise ModelFormatError(f"{path}: line 1: bad or missing score header")
-        for line_no, line in lines:
-            record = parse_record(line.rstrip("\n"), name, line_no)
-            if record.pair_id != line_no - 2:
-                raise ModelFormatError(id_rule_message(path, line_no, record.pair_id, line_no - 2))
-            yield record
+    """Stream records back from a score file written by score_corpus_to_file,
+    each checked as README's score-file section lists. Ids must count 0, 1,
+    2, ... in line order, so record i is pair i."""
+    return itertools.chain.from_iterable(read_id_keyed(path, SCORE_FILE))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record
 
 
 def rec(pair_id, combined):
-    """An unflagged record whose only varying fields are its id and combined."""
+    """An unflagged record whose only varying fields are its id and combined,
+    which is its adq (dom is 1)."""
     return ScoreRecord(
         pair_id=pair_id,
         h_fwd=1.0,
         h_rev=1.0,
         h_in=1.0,
         h_out=1.0,
-        adq=1.0,
+        adq=combined,
         dom=1.0,
         combined=combined,
     )

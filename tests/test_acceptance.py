@@ -170,7 +170,7 @@ def test_criterion_5_selection_contract_100k(tmp_path):
         # exact tie-break: equal scores resolve by ascending id
         tied = [
             ScoreRecord(pair_id=i, h_fwd=1, h_rev=1, h_in=1, h_out=1,
-                        adq=1.0, dom=1.0, combined=0.5)
+                        adq=0.5, dom=1.0, combined=0.5)
             for i in range(10)
         ]
         assert select_top_n(tied, 4).selected_ids == [0, 1, 2, 3]

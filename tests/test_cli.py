@@ -280,7 +280,7 @@ def _handmade_scores(tmp_path, combined_values):
     records = [
         ScoreRecord(
             pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
-            adq=1.0, dom=1.0, combined=c,
+            adq=c, dom=1.0, combined=c,
         )
         for i, c in enumerate(combined_values)
     ]
@@ -375,7 +375,7 @@ def test_every_reader_of_a_score_file_stops_at_its_first_bad_id(
     fails at the score file's line: exit 1, nothing written, nothing printed."""
     records = [
         ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
-                    adq=1.0, dom=1.0, combined=c)
+                    adq=c, dom=1.0, combined=c)
         for i, c in zip(ids, (0.9, 0.8, 0.6))
     ]
     scores, src, tgt = tmp_path / "s.tsv", tmp_path / "c.src", tmp_path / "c.tgt"
@@ -424,9 +424,9 @@ def test_weights_match_the_worked_example(tmp_path):
 def test_weights_gap_leaves_only_partial(tmp_path):
     records = [
         ScoreRecord(pair_id=0, h_fwd=1, h_rev=1, h_in=1, h_out=1,
-                    adq=1.0, dom=1.0, combined=0.5),
+                    adq=0.5, dom=1.0, combined=0.5),
         ScoreRecord(pair_id=2, h_fwd=1, h_rev=1, h_in=1, h_out=1,
-                    adq=1.0, dom=1.0, combined=0.5),
+                    adq=0.5, dom=1.0, combined=0.5),
     ]
     scores = tmp_path / "gap.scores.tsv"
     write_score_file(records, scores)
@@ -491,7 +491,7 @@ def test_evaluate_names_the_bad_line_of_a_label_file(tmp_path, caplog, labels, m
     """A bad label file fails naming its own line."""
     records = [
         ScoreRecord(pair_id=i, h_fwd=1.0, h_rev=1.0, h_in=1.0, h_out=1.0,
-                    adq=1.0, dom=1.0, combined=c)
+                    adq=c, dom=1.0, combined=c)
         for i, c in ((0, 0.9), (1, 0.5), (2, 0.1))
     ]
     scores, path = tmp_path / "s.tsv", tmp_path / "labels.tsv"
@@ -517,7 +517,7 @@ def test_evaluate_names_the_bad_line_of_a_label_file(tmp_path, caplog, labels, m
 )
 def test_evaluate_names_the_files_it_cannot_compare(tmp_path, caplog, labels, message):
     scores, path = tmp_path / "s.tsv", tmp_path / "labels.tsv"
-    write_score_file([ScoreRecord(i, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, c)
+    write_score_file([ScoreRecord(i, 1.0, 1.0, 1.0, 1.0, c, 1.0, c)
                       for i, c in enumerate((0.9, 0.5, 0.1))], scores)
     path.write_bytes(labels)
     assert run_cli("evaluate", "--scores", scores, "--labels", path,

@@ -15,7 +15,7 @@ from pairsieve.errors import (
     ModelFormatError,
     TrainingError,
 )
-from pairsieve import lexical_tm
+from pairsieve import model_file
 from pairsieve.lexical_tm import (
     NULL,
     PROB_FLOOR,
@@ -275,12 +275,12 @@ def in_order_table(values=TABLE_VALUES):
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_a_valid_table_loads_in_blocks_without_the_failure_pass(tmp_path, monkeypatch, block):
     (tmp_path / "s.tsv").write_text(in_order_table(), encoding="utf-8")
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
 
-    def no_failure_pass(path):
+    def no_failure_pass(path, fmt):
         raise AssertionError("a valid table was read a second time")
 
-    monkeypatch.setattr(lexical_tm, "_first_bad_line", no_failure_pass)
+    monkeypatch.setattr(model_file, "_first_fault", no_failure_pass)
     table = load_external_scores(tmp_path / "s.tsv")
     assert [table.lookup(i) for i in range(len(table))] == TABLE_VALUES
     assert table._scores.typecode == "d"  # 8 bytes per score
@@ -307,7 +307,7 @@ def test_a_bad_value_after_the_first_block_fails_with_the_line_loops_message(
     values = [str(v) for v in TABLE_VALUES]
     values[40] = bad
     (tmp_path / "s.tsv").write_text(in_order_table(values), encoding="utf-8")
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     with pytest.raises(ExternalScoreError) as info:
         load_external_scores(tmp_path / "s.tsv")
     assert str(info.value) == f"{tmp_path / 's.tsv'}: line 41: {message}"
@@ -317,11 +317,11 @@ def test_a_bad_value_after_the_first_block_fails_with_the_line_loops_message(
 def test_a_misaligned_table_fails_at_line_1(tmp_path, monkeypatch, block):
     # Two tabs and two lines, but one line holds both tabs.
     (tmp_path / "s.tsv").write_text("0\t0.5\t1\n0.25\n", encoding="utf-8")
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     with pytest.raises(ExternalScoreError) as info:
         load_external_scores(tmp_path / "s.tsv")
     assert str(info.value) == (
-        f"{tmp_path / 's.tsv'}: line 1: expected 'id\\tscore', got '0\\t0.5\\t1'"
+        f"{tmp_path / 's.tsv'}: line 1: expected 2 columns, found 3"
     )
 
 
@@ -336,7 +336,7 @@ def test_a_misaligned_table_fails_at_line_1(tmp_path, monkeypatch, block):
 )
 def test_other_layouts_load_the_same_values(tmp_path, monkeypatch, block, text):
     (tmp_path / "s.tsv").write_bytes(text.encode("utf-8"))
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     table = load_external_scores(tmp_path / "s.tsv")
     assert [table.lookup(i) for i in range(len(table))] == [1.5, 0.25, 0.75]
 
@@ -346,7 +346,7 @@ def test_other_layouts_load_the_same_values(tmp_path, monkeypatch, block, text):
     "text, message",
     [
         ("2\t0.75\n0\t1.5\n1\t0.25\n", "line 1: id 2, expected 0" + ID_RULE),
-        ("0\t1.5\n\n1\t0.25\n2\t0.75\n", "line 2: expected 'id\\tscore', got ''"),
+        ("0\t1.5\n\n1\t0.25\n2\t0.75\n", "line 2: expected 2 columns, found 1"),
         ("0\t1.5\n01\t0.25\n2\t0.75\n", "line 2: id 01, expected 1" + ID_RULE),
     ],
     ids=["out-of-order", "blank-line", "id-01"],
@@ -357,7 +357,7 @@ def test_a_table_off_the_id_rule_fails_at_its_line(
     """Line k holds pair k − 1: ids in another order, a blank line and an id
     written otherwise than str(k − 1) each fail at their line."""
     (tmp_path / "s.tsv").write_bytes(text.encode("utf-8"))
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     with pytest.raises(ExternalScoreError) as info:
         load_external_scores(tmp_path / "s.tsv")
     assert str(info.value) == f"{tmp_path / 's.tsv'}: {message}"
@@ -368,7 +368,7 @@ def test_a_table_whose_values_sum_past_the_largest_float_loads(tmp_path, monkeyp
     """Each value is finite though their sum overflows, so each is tested on
     its own."""
     (tmp_path / "s.tsv").write_text("0\t1e308\n1\t1e308\n", encoding="utf-8")
-    monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     table = load_external_scores(tmp_path / "s.tsv")
     assert [table.lookup(0), table.lookup(1)] == [1e308, 1e308]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsieve.corpus import SentencePair, tokenize
-from pairsieve import lexical_tm
+from pairsieve import model_file
 from pairsieve.errors import (
     ExternalScoreError,
     IncompatibleModelError,
@@ -19,7 +19,7 @@ from pairsieve.errors import (
 from pairsieve.lexical_tm import load_external_scores, load_tm, save_tm, train_model1
 from pairsieve.ngram_lm import load_lm, save_lm, train_ngram
 from pairsieve.noise import read_labels
-from pairsieve.scoring import SCORE_HEADER, ScoreRecord, read_score_file
+from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
 
 from score_records import write_score_file
 
@@ -286,7 +286,7 @@ def saved_scores(tmp_path_factory):
             ScoreRecord(0, 1.5, 2.25, 4.0, 3.5, 0.0907180, 0.606531, 0.0550232),
             ScoreRecord(1, 0.5, 0.75, 3.0, 3.25, 1.0, 1.0, 1.0, flags="trusted"),
             ScoreRecord(2, nan, nan, nan, nan, 0.0, 0.0, 0.0, flags="blank_src,overlength_tgt"),
-            ScoreRecord(3, 12.0, 0.125, 9.5, 2.0, 1.23e-9, 0.000553084, 6.8e-13),
+            ScoreRecord(3, 12.0, 0.125, 9.5, 2.0, 1.23e-9, 0.000553084, 6.80293e-13),
         ],
         root / "m.scores.tsv",
     )
@@ -320,7 +320,7 @@ def saved_id_keyed(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(block=st.sampled_from([7, lexical_tm.TABLE_BLOCK_CHARS]),
+@given(block=st.sampled_from([7, model_file.BLOCK_CHARS]),
        mutations=st.lists(MUTATION, min_size=1, max_size=3))
 def test_a_damaged_table_loads_or_raises_external_score_error(saved_id_keyed, block, mutations):
     """A table loads one score per line, each finite and >= 0, or fails."""
@@ -328,7 +328,7 @@ def test_a_damaged_table_loads_or_raises_external_score_error(saved_id_keyed, bl
     data = mutate((saved_id_keyed / "m.tab").read_bytes(), mutations)
     path.write_bytes(data)
     try:
-        with mock.patch.object(lexical_tm, "TABLE_BLOCK_CHARS", block):
+        with mock.patch.object(model_file, "BLOCK_CHARS", block):
             table = load_external_scores(path)
     except ExternalScoreError:
         return
@@ -381,8 +381,7 @@ ID_CASES = [
     ("from-1", ["1", "2", "3"], 0),
     ("negative", ["0", "-1"], 1),
 ]
-# Ids that int() reads as 1 or 10. Only tables and labels files are given
-# them: a score file's id is read as an integer.
+# Ids that int() reads as 1 or 10, but that are not written str(1) or str(10).
 TEXT_ID_CASES = [
     ("plus", ["0", "+1"], 1),
     ("zero-padded", ["0", "01"], 1),
@@ -394,7 +393,7 @@ ID_READERS = [("score-file", None), ("labels", None), *(("table", b) for b in (1
 ID_RULE_PARAMS = [
     pytest.param(fmt, block, ids, bad, id=f"{fmt}{f'-{block}' if block else ''}-{name}")
     for fmt, block in ID_READERS
-    for name, ids, bad in ID_CASES + (TEXT_ID_CASES if fmt != "score-file" else [])
+    for name, ids, bad in ID_CASES + TEXT_ID_CASES
 ]
 
 
@@ -408,13 +407,119 @@ def test_every_id_keyed_reader_fails_at_the_first_id_off_the_rule(
     path = tmp_path / "f.tsv"
     path.write_text(text_of(ids), encoding="utf-8")
     if block:
-        monkeypatch.setattr(lexical_tm, "TABLE_BLOCK_CHARS", block)
+        monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
     with pytest.raises(error) as info:
         read(path)
     assert str(info.value) == (
         f"{path}: line {first_line + bad}: id {ids[bad]}, expected {bad}; "
         "ids count 0, 1, 2, ... in line order"
     )
+
+
+# Each id-keyed format for the block tests: its header, record i's valid
+# line, a line for record i that the format's converter rejects and the
+# reader's words for it, what a read returns (as plain values), the reader's
+# error type and the line record 0 is on.
+BLOCK_FORMATS = {
+    "score-file": (
+        "\t".join(SCORE_HEADER) + "\n",
+        lambda i: f"{i}\t{i / 8:g}\t1\t1\t1\t0.5\t0.5\t0.25\t-",
+        lambda i: f"{i}\t1\t1\t1\t1\t0.5\t0.5\t0.9\t-",
+        "combined '0.9' is not adq * dom (0.5 * 0.5) to 6 significant digits",
+        lambda path: [format_record(record) for record in read_score_file(path)],
+        ModelFormatError,
+        2,
+    ),
+    "table": (
+        "",
+        lambda i: f"{i}\t{i / 4}",
+        lambda i: f"{i}\t-0.5",
+        "score '-0.5' is not finite and >= 0",
+        lambda path: list(load_external_scores(path)._scores),
+        ExternalScoreError,
+        1,
+    ),
+    "labels": (
+        "",
+        lambda i: f"{i}\tcorrupted\tshuffle" if i % 3 == 1 else f"{i}\tclean\t-",
+        lambda i: f"{i}\tcorrupted\t-",
+        "corrupted pair with kind '-'; a clean pair has kind '-' and a corrupted one names"
+        " its kind",
+        read_labels,
+        StructuralError,
+        1,
+    ),
+}
+BLOCK_PARAMS = [
+    pytest.param(fmt, block, id=f"{fmt}-{block}")
+    for fmt in BLOCK_FORMATS
+    for block in (1, 7, 64, model_file.BLOCK_CHARS)
+]
+N_RECORDS = 50
+
+
+def block_file(tmp_path, fmt, edits=(), newline="\n", final_newline=True):
+    """A file of N_RECORDS records in ``fmt``, record i's line replaced by
+    ``edits[i]`` where given."""
+    header, good = BLOCK_FORMATS[fmt][:2]
+    edits = dict(edits)
+    lines = [edits.get(i, good(i)) for i in range(N_RECORDS)]
+    text = header + "\n".join(lines) + ("\n" if final_newline else "")
+    path = tmp_path / f"f.{fmt}"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("fmt, block", BLOCK_PARAMS)
+def test_a_bad_line_after_the_first_block_is_named_by_its_line(tmp_path, monkeypatch, fmt, block):
+    _, _, bad, message, read, error, first = BLOCK_FORMATS[fmt]
+    path = block_file(tmp_path, fmt, {40: bad(40)})
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value) == f"{path}: line {first + 40}: {message}"
+
+
+@pytest.mark.parametrize("fmt, block", BLOCK_PARAMS)
+def test_of_two_faults_the_earlier_is_named(tmp_path, monkeypatch, fmt, block):
+    """The later fault, an extra column, is the one a block check meets
+    first; the error still names the earlier line."""
+    _, good, bad, message, read, error, first = BLOCK_FORMATS[fmt]
+    path = block_file(tmp_path, fmt, {30: bad(30), 45: good(45) + "\textra"})
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value) == f"{path}: line {first + 30}: {message}"
+
+
+@pytest.mark.parametrize("fmt, block", BLOCK_PARAMS)
+def test_a_blank_last_line_fails_at_its_line(tmp_path, monkeypatch, fmt, block):
+    """At block size 1 the blank line is a block of its own, which holds no
+    record and must still fail."""
+    _, _, _, _, read, error, first = BLOCK_FORMATS[fmt]
+    path = block_file(tmp_path, fmt)
+    path.write_bytes(path.read_bytes() + b"\n")
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
+    with pytest.raises(error) as info:
+        read(path)
+    columns = BLOCK_FORMATS[fmt][1](0).count("\t") + 1
+    assert str(info.value) == f"{path}: line {first + N_RECORDS}: expected {columns} columns, found 1"
+
+
+@pytest.mark.parametrize("fmt, block", BLOCK_PARAMS)
+@pytest.mark.parametrize("layout", ["crlf", "no-final-newline"])
+def test_crlf_and_a_missing_final_newline_read_the_same_values(
+    tmp_path, monkeypatch, fmt, block, layout
+):
+    read = BLOCK_FORMATS[fmt][4]
+    expected = read(block_file(tmp_path, fmt))
+    assert len(expected) == N_RECORDS
+    if layout == "crlf":
+        path = block_file(tmp_path, fmt, newline="\r\n")
+    else:
+        path = block_file(tmp_path, fmt, final_newline=False)
+    monkeypatch.setattr(model_file, "BLOCK_CHARS", block)
+    assert read(path) == expected
 
 
 def test_loading_a_table_holds_little_more_than_the_table(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pairsieve.corpus import Sentence, SentencePair, tokenize
 from pairsieve.errors import ModelFormatError, ScoreDomainError, ScoringError
 from pairsieve import scoring
-from pairsieve.lexical_tm import ExternalScoreTable
+from pairsieve.lexical_tm import Direction, ExternalScoreTable, LexicalTranslationModel
 from pairsieve.scoring import (
     MAX_SHARD_LINES,
     OFFSET_GRANULE,
@@ -21,7 +21,6 @@ from pairsieve.scoring import (
     dual_score,
     format_record,
     make_record,
-    parse_record,
     read_score_file,
     score_corpus,
     score_corpus_to_file,
@@ -278,8 +277,8 @@ def _score_file_of_ids(*ids):
         (_score_file(GOOD_FIELDS), "line 2: expected 9 columns, found 8"),
         (_score_file(GOOD_FIELDS + "\t-\t-"), "line 2: expected 9 columns, found 10"),
         (_score_file(""), "line 2: expected 9 columns, found 1"),
-        (_score_file(BAD_ID), "line 2: non-numeric field in " + repr(BAD_ID)),
-        (_score_file(BAD_SCORE), "line 2: non-numeric field in " + repr(BAD_SCORE)),
+        (_score_file(BAD_ID), "line 2: id x, expected 0" + ID_RULE),
+        (_score_file(BAD_SCORE), "line 2: non-numeric combined 'high'"),
         (_score_file(GOOD_FIELDS + "\tbogus"), "line 2: unknown flags ['bogus']"),
         (_score_file(GOOD_FIELDS + "\ttrusted,blank_src,x"), "line 2: unknown flags ['x']"),
         (_score_file(GOOD_FIELDS + "\t"), "line 2: unknown flags ['']"),
@@ -299,21 +298,47 @@ def test_malformed_score_file_names_file_line_and_fault(tmp_path, data, message)
     assert str(exc.value) == f"{path}: {message}"
 
 
+def _one_record_file(tmp_path, line):
+    """A score file whose one record is ``line``."""
+    path = tmp_path / "one.scores.tsv"
+    path.write_text("\t".join(SCORE_HEADER) + "\n" + line + "\n", encoding="utf-8")
+    return path
+
+
+def _read_fault(tmp_path, line):
+    """What is wrong with ``line`` as record 0, as the reader words it after
+    ``<file>: line 2: ``."""
+    path = _one_record_file(tmp_path, line)
+    with pytest.raises(ModelFormatError) as info:
+        list(read_score_file(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: line 2: ")
+    return message.removeprefix(f"{path}: line 2: ")
+
+
 @pytest.mark.parametrize("field", ["adq", "dom", "combined"])
 @pytest.mark.parametrize("bad", ["nan", "7.5", "-0.2", "inf"])
-def test_parse_record_rejects_a_partial_score_outside_the_unit_interval(field, bad):
+def test_score_reader_rejects_a_partial_score_outside_the_unit_interval(tmp_path, field, bad):
     values = {"adq": "0.5", "dom": "0.5", "combined": "0.25", field: bad}
-    fields = ["4", "1", "1", "1", "1", values["adq"], values["dom"], values["combined"], "-"]
-    line = "\t".join(fields)
-    with pytest.raises(ModelFormatError) as info:
-        parse_record(line, "x.tsv", 5)
-    assert str(info.value) == f"x.tsv: line 5: {field} {bad!r} is outside [0, 1]"
+    fields = ["0", "1", "1", "1", "1", values["adq"], values["dom"], values["combined"], "-"]
+    assert _read_fault(tmp_path, "\t".join(fields)) == f"{field} {bad!r} is outside [0, 1]"
 
 
-def test_parse_record_accepts_both_ends_of_the_unit_interval():
+def test_score_reader_accepts_both_ends_of_the_unit_interval(tmp_path):
     line = "\t".join(["0", "1", "1", "1", "1", "1", "0", "0", "-"])
-    record = parse_record(line, "x.tsv", 2)
+    (record,) = read_score_file(_one_record_file(tmp_path, line))
     assert (record.adq, record.dom, record.combined) == (1.0, 0.0, 0.0)
+
+def test_the_built_in_tm_scores_the_generated_side_over_its_own_tokens():
+    """README's scoring conventions: a TM normalizes by the generated side's
+    token count, which for h_rev is the source, and scores no end event; so a
+    one-token generated side is scored over one event."""
+    pair = SentencePair(0, tokenize("a b c"), tokenize("x"))
+    t = {"a": {"x": 0.5}, "b": {"x": 0.25}, "c": {"x": 0.25}}
+    rev = scoring.Model1Scorer(LexicalTranslationModel(t, False, Direction.REVERSE))
+    assert rev(pair) == -math.fsum(map(math.log, (0.5, 0.25, 0.25))) / 3
+    fwd = scoring.Model1Scorer(LexicalTranslationModel({"x": {"a": 0.5}}, False, Direction.FORWARD))
+    assert fwd(SentencePair(1, tokenize("a"), tokenize("x"))) == math.log(2)
 
 
 def test_score_domain_error_names_the_pair():
@@ -330,10 +355,9 @@ def test_score_domain_error_names_the_pair():
     assert str(info.value) == "pair 7: cross-entropy inputs must be finite and >= 0, got -0.5"
 
 
-def test_parse_record_rejects_bad_flags():
+def test_score_reader_rejects_bad_flags(tmp_path):
     line = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25\tbogus"
-    with pytest.raises(Exception, match="unknown flags"):
-        parse_record(line, "x.tsv", 2)
+    assert "unknown flags" in _read_fault(tmp_path, line)
 
 
 @pytest.mark.parametrize(
@@ -341,27 +365,103 @@ def test_parse_record_rejects_bad_flags():
     ["blank_src,blank_src", "overlength_tgt,trusted,trusted", "trusted,trusted",
      "blank_tgt,blank_src", "blank_src,trusted"],
 )
-def test_parse_record_rejects_repeated_or_misordered_flags(flags):
+def test_score_reader_rejects_repeated_or_misordered_flags(tmp_path, flags):
     line = "0\t1\t1\t1\t1\t0.5\t0.5\t0.25\t" + flags
-    with pytest.raises(ModelFormatError) as info:
-        parse_record(line, "x.tsv", 2)
-    assert str(info.value) == (
-        f"x.tsv: line 2: flags {flags!r} repeat a flag or are out of order"
+    assert _read_fault(tmp_path, line) == (
+        f"flags {flags!r} repeat a flag or are out of order"
         " (order: trusted,blank_src,blank_tgt,overlength_src,overlength_tgt)"
     )
 
 
-def test_parse_record_accepts_every_flags_text_the_writer_can_produce():
+def test_score_reader_accepts_every_flags_text_the_writer_can_produce(tmp_path):
     names = ("trusted", "blank_src", "blank_tgt", "overlength_src", "overlength_tgt")
     texts = ["-"] + [
         ",".join(subset)
         for size in range(1, len(names) + 1)
         for subset in itertools.combinations(names, size)
     ]
-    for text in texts:
-        assert parse_record("3\t1\t1\t1\t1\t1\t0.5\t0.5\t" + text, "x.tsv", 2) == (
-            ScoreRecord(3, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, text)
-        )
+    # A flagged record holds what the writer gives it: nan and 0.
+    lines = [
+        f"{i}\t1\t1\t1\t1\t1\t0.5\t0.5\t{text}" if text in ("-", "trusted")
+        else f"{i}\tnan\tnan\tnan\tnan\t0\t0\t0\t{text}"
+        for i, text in enumerate(texts)
+    ]
+    path = tmp_path / "flags.scores.tsv"
+    path.write_text("\n".join(["\t".join(SCORE_HEADER), *lines, ""]), encoding="utf-8")
+    assert [format_record(record) for record in read_score_file(path)] == lines
+
+
+# Records that break the score algebra's rules on one field, each with what
+# the reader says of it after "<file>: line 2: ".
+ALGEBRA_FAULTS = [
+    pytest.param("0\t-3\t1\t1\t1\t0.5\t0.5\t0.25\t-",
+                 "h_fwd '-3' is not finite and >= 0", id="negative-h"),
+    pytest.param("0\t1\tinf\t1\t1\t1\t0.5\t0.5\ttrusted",
+                 "h_rev 'inf' is not finite and >= 0", id="infinite-h-trusted"),
+    pytest.param("0\t1\t1\tnan\t1\t0.5\t0.5\t0.25\t-",
+                 "h_in 'nan' is not finite and >= 0", id="nan-h"),
+    pytest.param("0\tnan\tnan\tnan\t2.5\t0\t0\t0\tblank_src",
+                 "flags 'blank_src' with h_out '2.5'; a flagged record has nan"
+                 " cross-entropies and adq, dom and combined 0", id="flagged-with-h"),
+    pytest.param("0\tnan\tnan\tnan\tnan\t0.5\t0.5\t0.25\tblank_tgt",
+                 "flags 'blank_tgt' with adq '0.5'; a flagged record has nan"
+                 " cross-entropies and adq, dom and combined 0", id="flagged-with-scores"),
+    pytest.param("0\tnan\tnan\tnan\tnan\t0\t0\t0.25\ttrusted,overlength_src",
+                 "flags 'trusted,overlength_src' with combined '0.25'; a flagged record has"
+                 " nan cross-entropies and adq, dom and combined 0", id="flagged-with-combined"),
+    pytest.param("0\t1\t1\t1\t1\t0.5\t0.5\t0.25\ttrusted",
+                 "trusted record with adq '0.5'; a trusted record has adq 1", id="trusted-adq"),
+    pytest.param("0\t1\t1\t1\t1\t0.2\t0.5\t0.9\t-",
+                 "combined '0.9' is not adq * dom (0.2 * 0.5) to 6 significant digits",
+                 id="combined-not-product"),
+    pytest.param("0\t1\t1\t1\t1\t0.5\t0.5\t0.250025\t-",
+                 "combined '0.250025' is not adq * dom (0.5 * 0.5) to 6 significant digits",
+                 id="combined-off-by-1e-4"),
+    pytest.param("0\t1\t1\t1\t1\t1e-310\t1\t2e-310\t-",
+                 "combined '2e-310' is not adq * dom (1e-310 * 1) to 6 significant digits",
+                 id="subnormal-combined-not-product"),
+    pytest.param("0\t1\t1\t1\t1\t0\t0.5\t1e-300\t-",
+                 "combined '1e-300' is not adq * dom (0 * 0.5) to 6 significant digits",
+                 id="combined-of-a-zero-product"),
+]
+
+
+@pytest.mark.parametrize("line, message", ALGEBRA_FAULTS)
+def test_score_reader_rejects_a_record_that_breaks_the_algebra(tmp_path, line, message):
+    assert _read_fault(tmp_path, line) == message
+
+
+def _printed(value):
+    return float(f"{value:.6g}")
+
+
+@pytest.mark.parametrize(
+    "adq, dom",
+    [(0.0, 0.5), (0.5, 0.0), (1e-300, 1e-20), (5e-324, 1.0), (1e-310, 0.123457),
+     (2.5e-308, 0.999999), (1.0, 1.0), (0.1000005, 0.1000005)],
+    ids=["zero-adq", "zero-dom", "subnormal-product", "least-subnormal", "subnormal-adq",
+         "near-least-normal", "one", "both-rounded-down"],
+)
+def test_score_reader_accepts_a_printed_product_at_zero_and_subnormal_sizes(tmp_path, adq, dom):
+    line = "0\t1\t1\t1\t1\t%.6g\t%.6g\t%.6g\t-" % (adq, dom, adq * dom)
+    (record,) = read_score_file(_one_record_file(tmp_path, line))
+    assert (record.adq, record.dom, record.combined) == tuple(
+        map(_printed, (adq, dom, adq * dom))
+    )
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(adq=unit, dom=unit)
+def test_every_product_the_writer_prints_reads_back(tmp_path_factory, adq, dom):
+    """Whatever adq and dom are, the line the writer prints for them, with
+    combined = adq * dom, passes the reader's product check."""
+    record = ScoreRecord(0, 1.0, 1.0, 1.0, 1.0, adq, dom, adq * dom)
+    path = _one_record_file(tmp_path_factory.mktemp("product"), format_record(record))
+    (read,) = read_score_file(path)
+    assert format_record(read) == format_record(record)
 
 
 def _write_corpus(tmp_path, n):
