@@ -9,7 +9,9 @@ then runs this checkout's CLI on them: `train-tm` in both directions,
 `select` (top-n as twin files and as TSV, and by threshold), `weights`,
 `stats`, `score --trusted` on the models at 2 workers and its `stats`,
 `corrupt` of the training draw, `score` and `evaluate` of the
-corrupted draw, and `pipeline` at 1 and 2 workers. It prints one JSON object
+corrupted draw, the same with `score --trusted` (whose scores tie at the
+clean count's cut, so precision@clean rests on the lower-id rule), and
+`pipeline` at 1 and 2 workers. It prints one JSON object
 that maps each artifact to its sha256, so two checkouts that print the same
 object write the same bytes. `resolved.cfg` is hashed without its
 `out_prefix` line, which names each run's own prefix.
@@ -108,8 +110,12 @@ def digests(work: Path, seed: int, pairs: int) -> dict[str, str]:
          "--workers", "2", "--out", "noisy.scores.tsv")
     _run(work, "evaluate", "--scores", "noisy.scores.tsv", "--labels", "noisy.labels",
          "--report", "noisy.report.tsv")
+    _run(work, "score", "--in-src", "noisy.src", "--in-tgt", "noisy.tgt", *models,
+         "--trusted", "--workers", "2", "--out", "noisy.trusted.scores.tsv")
+    _run(work, "evaluate", "--scores", "noisy.trusted.scores.tsv", "--labels", "noisy.labels",
+         "--report", "noisy.trusted.report.tsv")
     for name in ("noisy.src", "noisy.tgt", "noisy.labels", "noisy.scores.tsv",
-                 "noisy.report.tsv"):
+                 "noisy.report.tsv", "noisy.trusted.scores.tsv", "noisy.trusted.report.tsv"):
         file(name)
 
     for workers in (1, 2):

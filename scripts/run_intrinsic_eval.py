@@ -19,13 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
-from pairsieve.noise import (
-    NoiseSpec,
-    evaluate_filter,
-    inject_noise,
-    labels_of,
-    ranking_auc,
-)
+from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of
 from pairsieve.scoring import LmScorer, Model1Scorer, score_corpus
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
@@ -67,9 +61,9 @@ def main() -> int:
         )
     )
     labels = labels_of(labeled_eval)
-    report = evaluate_filter(records, labels)
-    auc_adq = ranking_auc([(r.adq, labels[r.pair_id] is None) for r in records])
-    auc_dom = ranking_auc([(r.dom, labels[r.pair_id] is None) for r in records])
+    report = evaluate_filter([r.combined for r in records], labels)
+    auc_adq = evaluate_filter([r.adq for r in records], labels).auc
+    auc_dom = evaluate_filter([r.dom for r in records], labels).auc
 
     print(f"pairs\t{report.n}")
     print(f"clean\t{report.n_clean}")

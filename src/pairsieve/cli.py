@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from array import array
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
@@ -323,9 +324,9 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    records = list(read_score_file(args.scores))
+    combined = array("d", (record.combined for record in read_score_file(args.scores)))
     labels = read_labels(args.labels)
-    report = evaluate_filter(records, labels, scores_name=args.scores, labels_name=args.labels)
+    report = evaluate_filter(combined, labels, scores_name=args.scores, labels_name=args.labels)
     session = _AtomicSession()
     write_report(report, session.path(args.report))
     session.commit()

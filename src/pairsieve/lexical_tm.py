@@ -46,6 +46,9 @@ from .model_file import (
 NULL = ""
 
 PROB_FLOOR = 1e-9
+# How far a loaded t(. | cond) may sum from 1. EM's rows sum to 1 within
+# rounding, and saved probabilities reload exactly.
+ROW_SUM_TOLERANCE = 1e-6
 
 TM_MAGIC = "lexical-tm"
 _VERSION = 1
@@ -236,7 +239,8 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
 
     Every probability must be a number in [0, 1] and each (cond, gen) pair
     may appear once; anything else raises :class:`ModelFormatError` naming
-    the file and line.
+    the file and line. Each t(. | cond) must then sum to 1 within
+    ROW_SUM_TOLERANCE, or the error names the file, the word and its sum.
     """
     with numbered_lines(path, ModelFormatError) as lines:
         model = ModelFile(path, lines, TM_MAGIC, _VERSION)
@@ -268,6 +272,17 @@ def load_tm(path: str | Path) -> LexicalTranslationModel:
             raise model.section_error(key_of, "(cond, gen) pair", "row")
         model.check_end("row")
 
+    # One pass over the loaded table costs less than totals kept in the row loop.
+    totals: dict[str, float] = {}
+    total_of = totals.get
+    for column in table.values():
+        for cond, prob in column.items():
+            totals[cond] = total_of(cond, 0.0) + prob
+    for cond, total in totals.items():
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            raise ModelFormatError(
+                f"{path}: t(. | {cond!r}) sums to {total!r}, not 1 within {ROW_SUM_TOLERANCE}"
+            )
     return LexicalTranslationModel(table=table, use_null=use_null, direction=direction)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,8 +20,6 @@ from pathlib import Path
 from .corpus import Sentence, SentencePair
 from .errors import ConfigError, StructuralError
 from .model_file import IdKeyedFormat, read_id_keyed
-from .scoring import ScoreRecord
-from .selection import select_top_n
 
 DEFAULT_NOISE_RATE = 0.2
 
@@ -221,76 +219,66 @@ class FilterReport:
     mean_combined_by_kind: dict[str, float]
 
 
-def ranking_auc(scored: list[tuple[float, bool]]) -> float:
-    """Probability a random clean item outranks a random corrupted one.
-
-    Computed from average ranks so tied scores contribute one half, the
-    Mann-Whitney convention; identical floored scores do occur in practice.
-    """
-    n_clean = sum(1 for _, clean in scored if clean)
-    n_corrupted = len(scored) - n_clean
-    if n_clean == 0 or n_corrupted == 0:
-        raise StructuralError("AUC needs at least one clean and one corrupted item")
-    by_score = sorted(scored, key=lambda sc: sc[0])
-    clean_rank_sum = 0.0
-    i = 0
-    while i < len(by_score):
-        j = i
-        while j < len(by_score) and by_score[j][0] == by_score[i][0]:
-            j += 1
-        avg_rank = (i + 1 + j) / 2  # ranks are 1-based: mean of i+1 .. j
-        clean_rank_sum += avg_rank * sum(1 for s, c in by_score[i:j] if c)
-        i = j
-    u = clean_rank_sum - n_clean * (n_clean + 1) / 2
-    return u / (n_clean * n_corrupted)
-
-
 def evaluate_filter(
-    records: Iterable[ScoreRecord],
+    scores: Sequence[float],
     labels: Labels,
     *,
     scores_name: str = "the score file",
     labels_name: str = "the labels file",
 ) -> FilterReport:
     """Score the filter against ground truth: AUC, precision/recall at the
-    clean count, and mean combined score per corruption kind.
+    clean count, and mean score per corruption kind.
 
-    ``records`` come as :func:`~pairsieve.scoring.read_score_file` or
-    :func:`~pairsieve.scoring.score_corpus` yields them, so record i is pair
-    i, as label i is; only the counts are checked, naming both inputs by
-    ``scores_name`` and ``labels_name``.
+    ``scores[i]`` is pair i's score, as ``labels[i]`` is its label; only the
+    counts are checked, naming both inputs by ``scores_name`` and
+    ``labels_name``. One sort ranks the pairs best first, ties to the lower
+    id, the order ``select --top-n`` takes them in. The AUC gives each run of
+    tied scores the mean of its ranks, so a tie counts one half (the
+    Mann-Whitney convention): floored scores do tie in practice.
     """
-    records = list(records)
-    if len(records) != len(labels):
+    n = len(scores)
+    if n != len(labels):
         raise StructuralError(
-            f"{scores_name} holds {len(records)} scored pairs but {labels_name} holds "
+            f"{scores_name} holds {n} scored pairs but {labels_name} holds "
             f"{len(labels)} labels; the labels are for another corpus"
         )
     n_clean = labels.count(None)
-    n_corrupted = len(labels) - n_clean
+    n_corrupted = n - n_clean
     if not (n_clean and n_corrupted):
         raise StructuralError(
             f"{labels_name}: {n_clean} clean and {n_corrupted} corrupted pairs; "
             "evaluate needs at least one of each"
         )
 
-    auc = ranking_auc([(r.combined, kind is None) for r, kind in zip(records, labels)])
+    # A stable sort keeps tied pairs in id order, reverse=True included.
+    order = sorted(range(n), key=scores.__getitem__, reverse=True)
+    clean = bytes(kind is None for kind in labels)
+    # Ranks count 1 from the lowest score, so the pairs at places i to j - 1
+    # of the order rank n - j + 1 to n - i. Each term is a half-integer, so
+    # the sum is exact in any order while it stays below 2**52.
+    clean_rank_sum = 0.0
+    i = 0
+    for _, run in itertools.groupby(order, scores.__getitem__):
+        run = list(run)
+        j = i + len(run)
+        clean_rank_sum += (2 * n - i - j + 1) / 2 * sum(map(clean.__getitem__, run))
+        i = j
+    auc = (clean_rank_sum - n_clean * (n_clean + 1) / 2) / (n_clean * n_corrupted)
 
-    top = select_top_n(records, n_clean).selected_ids
-    clean_in_top = sum(1 for pair_id in top if labels[pair_id] is None)
+    clean_in_top = sum(map(clean.__getitem__, order[:n_clean]))
     # With as many pairs taken as there are clean ones, precision is recall.
     precision = recall = clean_in_top / n_clean
 
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for r, kind in zip(records, labels):
+    for score, kind in zip(scores, labels):
         key = "clean" if kind is None else kind.value
-        sums[key] = sums.get(key, 0.0) + r.combined
+        sums[key] = sums.get(key, 0.0) + score
         counts[key] = counts.get(key, 0) + 1
     means = {key: sums[key] / counts[key] for key in sums}
 
     return FilterReport(
-        n=len(records),
+        n=n,
         n_clean=n_clean,
         n_corrupted=n_corrupted,
         auc=auc,

@@ -79,40 +79,13 @@ def _check_entropies(*values: float, where: str = "") -> None:
             )
 
 
-def _dual(h_fwd: float, h_rev: float) -> float:
-    return abs(h_fwd - h_rev) + (h_fwd + h_rev) / 2
-
-
 def _partial_scores(
     h_fwd: float, h_rev: float, h_in: float, h_out: float, trusted: bool
 ) -> tuple[float, float]:
     """adq and dom of four checked cross-entropies, the one place either is
     computed. A trusted pair's adq is 1 by fiat."""
-    adq = 1.0 if trusted else math.exp(-_dual(h_fwd, h_rev))
+    adq = 1.0 if trusted else math.exp(-(abs(h_fwd - h_rev) + (h_fwd + h_rev) / 2))
     return adq, math.exp(min(h_out - h_in, 0.0))
-
-
-def dual_score(h_fwd: float, h_rev: float) -> float:
-    """|h_fwd - h_rev| + (h_fwd + h_rev)/2; 0 is best.
-
-    The absolute difference penalizes disagreement between the two
-    directions, the average penalizes pairs both directions find improbable.
-    """
-    _check_entropies(h_fwd, h_rev)
-    return _dual(h_fwd, h_rev)
-
-
-def adequacy(h_fwd: float, h_rev: float) -> float:
-    """exp of the negated dual score; in (0, 1], and 1 iff both inputs are 0."""
-    _check_entropies(h_fwd, h_rev)
-    return _partial_scores(h_fwd, h_rev, 0.0, 0.0, False)[0]
-
-
-def domain_score(h_in: float, h_out: float) -> float:
-    """min(exp(h_out - h_in), 1): how many times less perplexing the target
-    sentence is to the in-domain model, clipped from above at 1."""
-    _check_entropies(h_in, h_out)
-    return _partial_scores(0.0, 0.0, h_in, h_out, True)[1]
 
 
 def make_record(

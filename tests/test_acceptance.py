@@ -15,13 +15,12 @@ import pytest
 from pairsieve.corpus import SentencePair, tokenize, write_parallel
 from pairsieve.lexical_tm import Direction, ExternalScoreTable, train_model1
 from pairsieve.ngram_lm import train_ngram, cross_entropy
-from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of, ranking_auc
+from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of
 from pairsieve.scoring import (
     LmScorer,
     Model1Scorer,
     ScoreRecord,
-    adequacy,
-    domain_score,
+    make_record,
     read_score_file,
     score_corpus,
     score_corpus_to_file,
@@ -71,11 +70,13 @@ def test_criterion_1_score_algebra_matches_independent_oracle():
 
 def test_criterion_2_hand_values():
     with criterion("2 hand-value checks"):
-        assert abs(adequacy(1.0, 1.0) - math.exp(-1)) <= 1e-9
-        assert abs(adequacy(1.0, 3.0) - math.exp(-4)) <= 1e-9
-        assert abs(domain_score(2.0, 1.0) - math.exp(-1)) <= 1e-9
-        assert domain_score(0.5, 2.0) == 1.0
-        assert adequacy(0.0, 0.0) == 1.0
+        # make_record(pair_id, h_fwd, h_rev, h_in, h_out): adq reads only the
+        # first two cross-entropies, dom only the last two.
+        assert abs(make_record(0, 1.0, 1.0, 0.0, 0.0).adq - math.exp(-1)) <= 1e-9
+        assert abs(make_record(0, 1.0, 3.0, 0.0, 0.0).adq - math.exp(-4)) <= 1e-9
+        assert abs(make_record(0, 0.0, 0.0, 2.0, 1.0).dom - math.exp(-1)) <= 1e-9
+        assert make_record(0, 0.0, 0.0, 0.5, 2.0).dom == 1.0
+        assert make_record(0, 0.0, 0.0, 0.0, 0.0).adq == 1.0
 
 
 def test_criterion_3_em_correctness():
@@ -222,10 +223,10 @@ def test_criterion_6_intrinsic_filtering_power():
             )
         )
         labels = labels_of(labeled_eval)
-        report = evaluate_filter(records, labels)
+        report = evaluate_filter([r.combined for r in records], labels)
 
-        auc_adq = ranking_auc([(r.adq, labels[r.pair_id] is None) for r in records])
-        auc_dom = ranking_auc([(r.dom, labels[r.pair_id] is None) for r in records])
+        auc_adq = evaluate_filter([r.adq for r in records], labels).auc
+        auc_dom = evaluate_filter([r.dom for r in records], labels).auc
 
         assert report.auc >= 0.95, f"combined AUC {report.auc:.4f} < 0.95"
         assert report.precision_at_clean >= 0.90, (

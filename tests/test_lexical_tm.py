@@ -677,6 +677,38 @@ def test_load_rejects_a_repeated_row_naming_both_lines(tmp_path):
         load_tm(tmp_path / "dup.tm")
 
 
+@pytest.mark.parametrize(
+    "b_total, ok",
+    [("0.9999991", True), ("1.0000009", True), ("0.999998", False), ("1.25", False)],
+)
+def test_load_checks_that_each_conditional_distribution_sums_to_one(tmp_path, b_total, ok):
+    """t(. | b) is split over two rows; 1 within 1e-6 loads, else the error
+    names the file, the conditioning word and its sum."""
+    half = float(b_total) / 2
+    path = tmp_path / "rows.tm"
+    path.write_text(
+        "lexical-tm\t1\ndirection\tfwd\nnull\t1\nrows\t5\n"
+        f"\tx\t1.0\na\tx\t0.25\na\ty\t0.75\nb\tx\t{half!r}\nb\ty\t{half!r}\n",
+        encoding="utf-8",
+    )
+    if ok:
+        assert load_tm(path).prob("y", "b") == half
+        return
+    with pytest.raises(ModelFormatError) as info:
+        load_tm(path)
+    assert str(info.value) == f"{path}: t(. | 'b') sums to {half + half!r}, not 1 within 1e-06"
+
+
+def test_load_names_the_null_word_whose_distribution_is_off(tmp_path):
+    path = tmp_path / "null.tm"
+    path.write_text(
+        "lexical-tm\t1\ndirection\trev\nnull\t1\nrows\t2\n\tx\t0.5\na\tx\t1.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelFormatError, match=r"null\.tm: t\(\. \| ''\) sums to 0\.5,"):
+        load_tm(path)
+
+
 # ---------------------------------------------------------------------------
 # One string object per word: every table holds each conditioning word once,
 # and scoring gives the same floats whether or not a query shares its strings.

@@ -193,7 +193,7 @@ def test_every_header_must_carry_its_key(tmp_path):
 def large_model_lines(kind):
     """A valid model file of well over 8 KiB, the size of one decode buffer."""
     if kind == "tm":
-        rows = [f"w{i}\tx\t0.0005" for i in range(2000)]
+        rows = [f"x\tw{i}\t0.0005" for i in range(2000)]  # t(. | x) sums to 1
         return TM_LINES[:3] + [f"rows\t{len(rows)}"] + rows
     words = [f"w{i}" for i in range(2000)]
     vocab = sorted(["</s>", "<s>", *words])
@@ -527,7 +527,7 @@ def test_loading_a_table_holds_little_more_than_the_table(tmp_path):
     traced peak stays within half again of the memory the loaded table keeps."""
     gens, conds = 250, 200
     rows = [
-        f"c{c}\tg{g}\t{(c + 1) / (conds * (conds + 1) / 2)!r}\n"
+        f"c{c}\tg{g}\t{(g + 1) / (gens * (gens + 1) / 2)!r}\n"
         for g in range(gens)
         for c in range(conds)
     ]

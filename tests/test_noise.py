@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +13,11 @@ from pairsieve.noise import (
     evaluate_filter,
     inject_noise,
     labels_of,
-    ranking_auc,
     read_labels,
     uniform_mix,
     write_labels,
 )
+from pairsieve.selection import select_top_n
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
 from score_records import rec
@@ -147,23 +151,21 @@ def test_labels_round_trip(tmp_path):
 
 
 def test_precision_at_k_hand_count():
-    records = [rec(0, 0.9), rec(1, 0.8), rec(2, 0.1)]
     labels = [None, NoiseKind.SHUFFLE, None]
-    report = evaluate_filter(records, labels)
+    report = evaluate_filter([0.9, 0.8, 0.1], labels)
     assert report.precision_at_clean == pytest.approx(0.5)
     assert report.recall_at_clean == pytest.approx(0.5)
 
 
 def test_auc_is_one_for_perfect_separation():
-    records = [rec(i, 1.0 - 0.1 * i) for i in range(6)]
+    scores = [1.0 - 0.1 * i for i in range(6)]
     labels = [None if i < 3 else NoiseKind.SHUFFLE for i in range(6)]
-    assert evaluate_filter(records, labels).auc == pytest.approx(1.0)
+    assert evaluate_filter(scores, labels).auc == pytest.approx(1.0)
 
 
 def test_auc_is_half_for_constant_scores():
-    records = [rec(i, 0.5) for i in range(10)]
     labels = [None if i % 2 == 0 else NoiseKind.TRUNCATE for i in range(10)]
-    assert evaluate_filter(records, labels).auc == pytest.approx(0.5)
+    assert evaluate_filter([0.5] * 10, labels).auc == pytest.approx(0.5)
 
 
 @settings(max_examples=50)
@@ -176,25 +178,75 @@ def test_auc_is_half_for_constant_scores():
     flip=st.integers(min_value=1, max_value=3),
 )
 def test_auc_invariant_under_increasing_transform(scores, flip):
-    import math
-
-    labels = [i % flip == 0 for i in range(len(scores))]
-    if all(labels) or not any(labels):
-        labels[0] = not labels[0]
-    base = ranking_auc(list(zip(scores, labels)))
-    transformed = ranking_auc([(math.expm1(2 * s), c) for s, c in zip(scores, labels)])
+    clean = [i % flip == 0 for i in range(len(scores))]
+    if all(clean) or not any(clean):
+        clean[0] = not clean[0]
+    labels = [None if c else NoiseKind.SHUFFLE for c in clean]
+    base = evaluate_filter(scores, labels).auc
+    transformed = evaluate_filter([math.expm1(2 * s) for s in scores], labels).auc
     assert 0.0 <= base <= 1.0
     assert transformed == pytest.approx(base, abs=1e-12)
+
+
+def tuple_auc(scored):
+    """AUC of (score, clean) items from a sort of the items themselves, each
+    tied run given its mean rank: the reference for evaluate_filter's AUC,
+    which comes from one index sort shared with precision@clean."""
+    n_clean = sum(1 for _, clean in scored if clean)
+    n_corrupted = len(scored) - n_clean
+    by_score = sorted(scored, key=lambda sc: sc[0])
+    clean_rank_sum = 0.0
+    i = 0
+    while i < len(by_score):
+        j = i
+        while j < len(by_score) and by_score[j][0] == by_score[i][0]:
+            j += 1
+        avg_rank = (i + 1 + j) / 2  # ranks are 1-based: mean of i+1 .. j
+        clean_rank_sum += avg_rank * sum(1 for s, c in by_score[i:j] if c)
+        i = j
+    u = clean_rank_sum - n_clean * (n_clean + 1) / 2
+    return u / (n_clean * n_corrupted)
+
+
+@settings(max_examples=200)
+@given(
+    scored=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]), st.booleans()),
+        min_size=2,
+        max_size=60,
+    )
+)
+def test_one_sort_ranks_ties_as_top_n_selection_and_the_tuple_auc_do(scored):
+    scored[0] = (scored[0][0], True)
+    scored[-1] = (scored[-1][0], False)
+    scores = [score for score, _ in scored]
+    labels = [None if clean else NoiseKind.TRUNCATE for _, clean in scored]
+    report = evaluate_filter(scores, labels)
+    top = select_top_n([rec(i, s) for i, s in enumerate(scores)], report.n_clean).selected_ids
+    assert report.precision_at_clean == sum(labels[i] is None for i in top) / report.n_clean
+    assert report.auc == tuple_auc(scored)
+
+
+def test_evaluation_holds_little_beside_its_score_column():
+    n = 200_000
+    scores = array("d", (round((i * 7919 % 1000) / 1000, 2) for i in range(n)))
+    labels = [None if i % 5 else NoiseKind.MISALIGN for i in range(n)]
+    tracemalloc.start()
+    try:
+        evaluate_filter(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * n
 
 
 @pytest.mark.parametrize(
     "n_records, n_labels", [(2, 3), (3, 2)], ids=["labels-more", "scores-more"]
 )
 def test_evaluation_names_both_files_when_the_counts_differ(n_records, n_labels):
-    records = [rec(i, 0.5) for i in range(n_records)]
     labels = [None if i % 2 == 0 else NoiseKind.SHUFFLE for i in range(n_labels)]
     with pytest.raises(StructuralError) as info:
-        evaluate_filter(records, labels, scores_name="s.tsv", labels_name="l.tsv")
+        evaluate_filter([0.5] * n_records, labels, scores_name="s.tsv", labels_name="l.tsv")
     assert str(info.value) == (
         f"s.tsv holds {n_records} scored pairs but l.tsv holds {n_labels} labels; "
         "the labels are for another corpus"
@@ -207,9 +259,8 @@ def test_evaluation_names_both_files_when_the_counts_differ(n_records, n_labels)
     ids=["all-clean", "all-corrupted"],
 )
 def test_evaluation_needs_a_clean_and_a_corrupted_pair(labels, counts):
-    records = [rec(0, 0.5), rec(1, 0.25)]
     with pytest.raises(StructuralError) as info:
-        evaluate_filter(records, labels, labels_name="l.tsv")
+        evaluate_filter([0.5, 0.25], labels, labels_name="l.tsv")
     assert str(info.value) == (
         f"l.tsv: {counts} corrupted pairs; evaluate needs at least one of each"
     )
@@ -224,9 +275,8 @@ def test_corruption_needs_ids_0_to_n_minus_1():
 
 
 def test_report_has_per_kind_means():
-    records = [rec(0, 0.9), rec(1, 0.2), rec(2, 0.4)]
     labels = [None, NoiseKind.COPY_SOURCE, NoiseKind.SHUFFLE]
-    report = evaluate_filter(records, labels)
+    report = evaluate_filter([0.9, 0.2, 0.4], labels)
     assert report.mean_combined_clean == pytest.approx(0.9)
     assert report.mean_combined_by_kind == {
         "copy_source": pytest.approx(0.2),

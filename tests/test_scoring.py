@@ -16,9 +16,6 @@ from pairsieve.scoring import (
     OFFSET_GRANULE,
     SCORE_HEADER,
     ScoreRecord,
-    adequacy,
-    domain_score,
-    dual_score,
     format_record,
     make_record,
     read_score_file,
@@ -40,6 +37,22 @@ def oracle_scores(h_fwd, h_rev, h_in, h_out, trusted):
     dom_prime = math.exp(-(h_in - h_out))
     dom = dom_prime if dom_prime < 1.0 else 1.0
     return adq, dom, adq * dom
+
+
+def adequacy(h_fwd, h_rev):
+    """A record's adq, which depends on h_fwd and h_rev alone."""
+    return make_record(0, h_fwd, h_rev, 0.0, 0.0).adq
+
+
+def domain_score(h_in, h_out):
+    """A record's dom, which depends on h_in and h_out alone."""
+    return make_record(0, 0.0, 0.0, h_in, h_out).dom
+
+
+def dual_score(h_fwd, h_rev):
+    """The dual score |h_fwd - h_rev| + (h_fwd + h_rev)/2, which adq is exp of
+    minus."""
+    return -math.log(adequacy(h_fwd, h_rev))
 
 
 def test_dual_score_hand_values():
