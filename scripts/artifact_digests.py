@@ -8,7 +8,11 @@ then runs this checkout's CLI on them: `train-tm` in both directions,
 `train-lm`, `score` at 1, 2 and 4 workers on the models and on the tables,
 `select` (top-n as twin files and as TSV, and by threshold), `weights`,
 `stats`, `score --trusted` on the models at 2 workers and its `stats`,
-`corrupt` of the training draw, `score` and `evaluate` of the
+the TSV and `--lowercase` paths on `crawl.tsv` (the crawl as one TSV file,
+every third pair upper-cased, since the draw's words are all lower case):
+`score --lowercase --max-tokens 12` at 1 and 2 workers, `select` from it as
+twin files and as TSV, `train-tm --lowercase` and `corrupt --lowercase`,
+then `corrupt` of the training draw, `score` and `evaluate` of the
 corrupted draw, the same with `score --trusted` (whose scores tie at the
 clean count's cut, so precision@clean rests on the lower-id rule), and
 `pipeline` at 1 and 2 workers. It prints one JSON object
@@ -103,6 +107,28 @@ def digests(work: Path, seed: int, pairs: int) -> dict[str, str]:
          "--out", "scores.trusted.tsv")
     file("scores.trusted.tsv")
     out["stats.trusted.stdout"] = _sha(_run(work, "stats", "--scores", "scores.trusted.tsv"))
+
+    tsv = ("--in", "crawl.tsv")
+    with open(work / "crawl.tsv", "w", encoding="utf-8") as fh:
+        sides = [(work / f"crawl.{side}").read_text(encoding="utf-8").splitlines()
+                 for side in ("src", "tgt")]
+        for i, (src, tgt) in enumerate(zip(*sides)):
+            fh.write(f"{src.upper()}\t{tgt.upper()}\n" if i % 3 == 0 else f"{src}\t{tgt}\n")
+    for workers in (1, 2):
+        name = f"scores.lower.w{workers}.tsv"
+        _run(work, "score", *tsv, *models, "--lowercase", "--max-tokens", "12",
+             "--workers", str(workers), "--out", name)
+        file(name)
+    lower_scores = ("--scores", "scores.lower.w1.tsv")
+    _run(work, "select", *tsv, *lower_scores, "--top-n", top_n, "--out-prefix", "lower.top")
+    _run(work, "select", *tsv, *lower_scores, "--top-n", top_n, "--format", "tsv",
+         "--out-prefix", "lower.top")
+    _run(work, "train-tm", *tsv, "--lowercase", "--iters", "3", "--out", "lower.tm")
+    _run(work, "corrupt", *tsv, "--lowercase", "--seed", str(seed), "--third-lang", "raw.mono",
+         "--out-prefix", "lower.noisy", "--labels", "lower.noisy.labels")
+    for name in ("lower.top.src", "lower.top.tgt", "lower.top.tsv", "lower.tm",
+                 "lower.noisy.src", "lower.noisy.tgt", "lower.noisy.labels"):
+        file(name)
 
     _run(work, "corrupt", *train, "--seed", str(seed), "--third-lang", "raw.mono",
          "--out-prefix", "noisy", "--labels", "noisy.labels")

@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
 from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of
-from pairsieve.scoring import LmScorer, Model1Scorer, score_corpus
+from pairsieve.scoring import LmScorer, Model1Scorer, score_pair
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
 
@@ -54,12 +54,8 @@ def main() -> int:
     out_lm = train_ngram([lp.pair.tgt for lp in labeled_raw], order=args.lm_order)
 
     print(f"scoring {len(labeled_eval)} pairs ...", file=sys.stderr)
-    records = list(
-        score_corpus(
-            (lp.pair for lp in labeled_eval),
-            Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm),
-        )
-    )
+    scorers = (Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm))
+    records = [score_pair(lp.pair, *scorers) for lp in labeled_eval]
     labels = labels_of(labeled_eval)
     report = evaluate_filter([r.combined for r in records], labels)
     auc_adq = evaluate_filter([r.adq for r in records], labels).auc

@@ -156,9 +156,6 @@ def _add_corpus_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--in", dest="tsv_in", metavar="TSV", help="2-column TSV corpus")
     parser.add_argument("--in-src", metavar="FILE", help="source side, one sentence per line")
     parser.add_argument("--in-tgt", metavar="FILE", help="target side, one sentence per line")
-    parser.add_argument(
-        "--lowercase", action="store_true", help="lowercase while tokenizing"
-    )
 
 
 def _corpus_paths(args: argparse.Namespace) -> dict:
@@ -647,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-tm", help="train a lexical translation model by EM")
     _add_corpus_input_flags(p)
+    p.add_argument("--lowercase", action="store_true", help="lowercase while tokenizing")
     p.add_argument("--out", required=True)
     p.add_argument("--direction", choices=("fwd", "rev"), default="fwd")
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
@@ -655,6 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score every pair of a corpus")
     _add_corpus_input_flags(p)
+    p.add_argument("--lowercase", action="store_true", help="lowercase while tokenizing")
     p.add_argument("--fwd-model", required=True)
     p.add_argument("--rev-model", required=True)
     p.add_argument("--in-lm", required=True)
@@ -683,6 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="corrupt clean bitext with labeled noise")
     _add_corpus_input_flags(p)
+    p.add_argument("--lowercase", action="store_true", help="lowercase while tokenizing")
     p.add_argument("--rate", type=float, default=DEFAULT_NOISE_RATE)
     p.add_argument("--mix", help="kind=prop,... (default: uniform)")
     p.add_argument("--seed", type=int, default=0)

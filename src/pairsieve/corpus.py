@@ -1,8 +1,10 @@
 """Streaming ingestion, tokenization, sampling, and emission of text corpora.
 
 Corpora are UTF-8, LF-terminated, one sentence per line, either as twin files
-(``corpus.src`` + ``corpus.tgt``) or as 2-column TSV. Streams make a single
-forward pass; memory use is independent of corpus length.
+(``corpus.src`` + ``corpus.tgt``) or as 2-column TSV. Each layout has one
+reader of raw lines, behind :func:`read_rows`; :func:`open_corpus` is the one
+place that tokenizes a pair. Streams make a single forward pass; memory use is
+independent of corpus length.
 """
 
 from __future__ import annotations
@@ -113,9 +115,7 @@ def corpus_offsets(
     return n_src, list(zip(src_offsets, tgt_offsets))
 
 
-def _tsv_pairs(
-    path: str | Path, offset: int, start: int, tokenized: bool, lowercase: bool
-) -> Iterator:
+def _tsv_rows(path: str | Path, offset: int, start: int) -> Iterator[tuple[str, str]]:
     # Binary read, so a decode error can name a byte offset within its line.
     # Faults are found by the exceptions they raise, not by a test per line.
     with open(path, "rb") as fh:
@@ -123,14 +123,7 @@ def _tsv_pairs(
         try:
             for pair_id, data in enumerate(fh, start):
                 src, tgt = data.rstrip(b"\n").decode().split("\t")
-                if tokenized:
-                    yield SentencePair(
-                        pair_id,
-                        Sentence((src.lower() if lowercase else src).split(), src),
-                        Sentence((tgt.lower() if lowercase else tgt).split(), tgt),
-                    )
-                else:
-                    yield src, tgt
+                yield src, tgt
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(
                 f"{path}: line {pair_id + 1}: invalid UTF-8 at byte offset {exc.start}"
@@ -142,29 +135,15 @@ def _tsv_pairs(
             ) from None
 
 
-def _twin_pairs(
-    src_path: str | Path,
-    tgt_path: str | Path,
-    offsets: tuple[int, ...],
-    start: int,
-    tokenized: bool,
-    lowercase: bool,
-) -> Iterator:
+def _twin_rows(
+    src_path: str | Path, tgt_path: str | Path, offsets: tuple[int, ...], start: int
+) -> Iterator[tuple[str, str]]:
     with open(src_path, "rb") as fs, open(tgt_path, "rb") as ft:
         fs.seek(offsets[0])
         ft.seek(offsets[1])
         try:
             for pair_id, (s, t) in enumerate(zip(fs, ft, strict=True), start):
-                src = s.rstrip(b"\n").decode()
-                tgt = t.rstrip(b"\n").decode()
-                if tokenized:
-                    yield SentencePair(
-                        pair_id,
-                        Sentence((src.lower() if lowercase else src).split(), src),
-                        Sentence((tgt.lower() if lowercase else tgt).split(), tgt),
-                    )
-                else:
-                    yield src, tgt
+                yield s.rstrip(b"\n").decode(), t.rstrip(b"\n").decode()
         except UnicodeDecodeError as exc:
             # The source line is decoded first, so bytes equal to it are its own.
             path = src_path if exc.object == s.rstrip(b"\n") else tgt_path
@@ -178,27 +157,6 @@ def _twin_pairs(
             raise
 
 
-def _pairs(
-    path: str | Path | None,
-    src_path: str | Path | None,
-    tgt_path: str | Path | None,
-    start: int,
-    count: int | None,
-    offsets: tuple[int, ...],
-    tokenized: bool,
-    lowercase: bool = False,
-) -> Iterator:
-    if path is not None:
-        if src_path is not None or tgt_path is not None:
-            raise CorpusFormatError("give either a TSV path or twin paths, not both")
-        pairs = _tsv_pairs(path, offsets[0], start, tokenized, lowercase)
-    elif src_path is None or tgt_path is None:
-        raise CorpusFormatError("twin-file corpus needs both source and target paths")
-    else:
-        pairs = _twin_pairs(src_path, tgt_path, offsets, start, tokenized, lowercase)
-    return pairs if count is None else itertools.islice(pairs, count)
-
-
 def read_rows(
     path: str | Path | None = None,
     src_path: str | Path | None = None,
@@ -210,11 +168,21 @@ def read_rows(
     """The raw (source, target) lines of pairs [start, start+count) of a TSV
     corpus (``path``) or of twin files; ``count=None`` reads to the end.
 
-    ``offsets`` holds the byte offset of pair ``start`` in each file, from
-    :func:`corpus_offsets`. Twin files of different lengths fail when the
-    shorter one ends.
+    Every corpus is read here, by one raw reader per layout;
+    :func:`open_corpus` tokenizes what this yields. ``offsets`` holds the
+    byte offset of pair ``start`` in each file, from :func:`corpus_offsets`.
+    Ambiguous paths fail at the call, bad lines when they are read, and twin
+    files of different lengths when the shorter one ends.
     """
-    return _pairs(path, src_path, tgt_path, start, count, offsets, tokenized=False)
+    if path is not None:
+        if src_path is not None or tgt_path is not None:
+            raise CorpusFormatError("give either a TSV path or twin paths, not both")
+        rows = _tsv_rows(path, offsets[0], start)
+    elif src_path is None or tgt_path is None:
+        raise CorpusFormatError("twin-file corpus needs both source and target paths")
+    else:
+        rows = _twin_rows(src_path, tgt_path, offsets, start)
+    return rows if count is None else itertools.islice(rows, count)
 
 
 def open_corpus(
@@ -226,9 +194,22 @@ def open_corpus(
     count: int | None = None,
     offsets: tuple[int, ...] = (0, 0),
 ) -> Iterator[SentencePair]:
-    """Stream the pairs of :func:`read_rows`, tokenized as :func:`tokenize`
-    does, with their ids."""
-    return _pairs(path, src_path, tgt_path, start, count, offsets, True, lowercase)
+    """Stream the pairs of :func:`read_rows` with their ids, each side
+    tokenized as :func:`tokenize` does.
+
+    A plain function, so ambiguous paths fail at the call, as in
+    :func:`read_rows`. The split is written out here rather than calling
+    :func:`tokenize`, which would cost a call per side.
+    """
+    rows = read_rows(path, src_path, tgt_path, start, count, offsets)
+    return (
+        SentencePair(
+            pair_id,
+            Sentence((src.lower() if lowercase else src).split(), src),
+            Sentence((tgt.lower() if lowercase else tgt).split(), tgt),
+        )
+        for pair_id, (src, tgt) in enumerate(rows, start)
+    )
 
 
 def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:

@@ -160,24 +160,11 @@ def score_pair(
     max_tokens: int = DEFAULT_MAX_TOKENS,
     trusted: bool = False,
 ) -> ScoreRecord:
-    (record,) = score_corpus(
+    """One pair's ScoreRecord, as :func:`score_corpus_to_file` writes it."""
+    (fields,) = _score_fields(
         (pair,), fwd_scorer, rev_scorer, in_scorer, out_scorer, max_tokens, trusted
     )
-    return record
-
-
-def score_corpus(
-    corpus: Iterable[SentencePair],
-    fwd_scorer: Scorer,
-    rev_scorer: Scorer,
-    in_scorer: Scorer,
-    out_scorer: Scorer,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    trusted: bool = False,
-) -> Iterator[ScoreRecord]:
-    """One ScoreRecord per pair, in id order, single streaming pass."""
-    scorers = (fwd_scorer, rev_scorer, in_scorer, out_scorer)
-    return map(ScoreRecord._make, _score_fields(corpus, *scorers, max_tokens, trusted))
+    return ScoreRecord._make(fields)
 
 
 class Model1Scorer:

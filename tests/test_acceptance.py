@@ -22,7 +22,6 @@ from pairsieve.scoring import (
     ScoreRecord,
     make_record,
     read_score_file,
-    score_corpus,
     score_corpus_to_file,
     score_pair,
 )
@@ -216,12 +215,8 @@ def test_criterion_6_intrinsic_filtering_power():
             [lp.pair.tgt for lp in labeled_raw], order=2, k=0.1, vocab_min_count=2
         )
 
-        records = list(
-            score_corpus(
-                (lp.pair for lp in labeled_eval),
-                Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm),
-            )
-        )
+        scorers = (Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm))
+        records = [score_pair(lp.pair, *scorers) for lp in labeled_eval]
         labels = labels_of(labeled_eval)
         report = evaluate_filter([r.combined for r in records], labels)
 

@@ -310,10 +310,11 @@ def test_select_tokenizes_nothing(workdir, tmp_path, monkeypatch, fmt):
             "--in-src", workdir / "cand.src", "--in-tgt", workdir / "cand.tgt"]
     assert run_cli(*argv, "--out-prefix", expected) == 0
 
-    def tokenize(*_):
+    def sentence(*_):
         raise AssertionError("select tokenized a line")
 
-    monkeypatch.setattr(corpus, "tokenize", tokenize)
+    # Every tokenizing path (open_corpus, tokenize, read_mono) builds a Sentence.
+    monkeypatch.setattr(corpus, "Sentence", sentence)
     assert run_cli(*argv, "--out-prefix", tmp_path / "sel") == 0
     for suffix in ((".tsv",) if fmt == "tsv" else (".src", ".tgt")):
         written = (tmp_path / f"sel{suffix}").read_bytes()
@@ -412,6 +413,30 @@ def test_select_requires_exactly_one_mode(workdir, tmp_path):
         )
     assert exc.value.code == 2
     assert not list(tmp_path.glob("sel2*"))
+
+
+@pytest.mark.parametrize("command", ["train-tm", "score", "corrupt", "select"])
+def test_only_the_commands_that_tokenize_take_lowercase(tmp_path, capsys, command):
+    """select extracts raw lines, so --lowercase would change nothing there:
+    it is a usage error, not a flag that is ignored."""
+    (tmp_path / "c.tsv").write_text("A b\tC d\nE f\tG h\n", encoding="utf-8")
+    scores = _handmade_scores(tmp_path, [0.9, 0.1])
+    extra = {
+        "train-tm": ["--out", tmp_path / "fwd.tm"],
+        "score": ["--fwd-model", "f", "--rev-model", "r", "--in-lm", "i", "--out-lm", "o",
+                  "--out", tmp_path / "s.tsv"],
+        "corrupt": ["--out-prefix", tmp_path / "noisy", "--labels", tmp_path / "labels"],
+        "select": ["--scores", scores, "--top-n", "1", "--out-prefix", tmp_path / "sel"],
+    }[command]
+    argv = [command, "--in", tmp_path / "c.tsv", *extra, "--lowercase"]
+    if command != "select":
+        assert build_parser().parse_args(list(map(str, argv))).lowercase is True
+        return
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lowercase" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sel*"))
 
 
 def test_weights_match_the_worked_example(tmp_path):

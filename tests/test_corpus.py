@@ -11,6 +11,7 @@ from pairsieve.corpus import (
     sample,
     tokenize,
     write_parallel,
+    write_tsv,
 )
 from pairsieve.errors import CorpusFormatError
 
@@ -177,13 +178,63 @@ def test_write_tsv_rejects_raw_tabs(tmp_path):
 
 
 def test_open_corpus_rejects_ambiguous_input(tmp_path):
+    """Both readers check their paths when called, not at the first pair."""
     _write(tmp_path / "c.tsv", ["a\tb"])
     _write(tmp_path / "c.src", ["a"])
     _write(tmp_path / "c.tgt", ["b"])
-    with pytest.raises(CorpusFormatError):
-        open_corpus(path=tmp_path / "c.tsv", src_path=tmp_path / "c.src")
-    with pytest.raises(CorpusFormatError):
-        open_corpus(src_path=tmp_path / "c.src")
+    for reader in (open_corpus, read_rows):
+        with pytest.raises(CorpusFormatError):
+            reader(path=tmp_path / "c.tsv", src_path=tmp_path / "c.src")
+        with pytest.raises(CorpusFormatError):
+            reader(src_path=tmp_path / "c.src")
+
+
+# Sides as a crawl has them: a CR before the newline, non-ASCII and upper-case
+# letters, Unicode whitespace, and blank sides.
+_SIDE = st.text(
+    st.one_of(
+        st.sampled_from("aB \r\u00c4\u00e9\u0130\u03a3\u00a0\u2028"),
+        st.characters(blacklist_characters="\n\t", blacklist_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_SIDE, _SIDE), max_size=12),
+    layout=st.sampled_from(["tsv", "twin"]),
+    lowercase=st.booleans(),
+    data=st.data(),
+)
+def test_open_corpus_is_read_rows_tokenized(tmp_path_factory, pairs, layout, lowercase, data):
+    """open_corpus yields the lines read_rows reads, tokenized as tokenize
+    does, over the whole file and over a shard from corpus_offsets."""
+    root = tmp_path_factory.mktemp("readers")
+    rows = [(i, src, tgt) for i, (src, tgt) in enumerate(pairs)]
+    if layout == "tsv":
+        paths = {"path": root / "c.tsv"}
+        write_tsv(rows, **paths)
+    else:
+        paths = {"src_path": root / "c.src", "tgt_path": root / "c.tgt"}
+        write_parallel(rows, **paths)
+    every = data.draw(st.integers(min_value=1, max_value=4))
+    n, offsets = corpus_offsets(**paths, every=every)
+    assert n == len(pairs)
+    k = data.draw(st.integers(min_value=0, max_value=len(offsets) - 1))
+    count = data.draw(st.none() | st.integers(min_value=0, max_value=n))
+    shard = {"start": k * every, "count": count, "offsets": offsets[k]}
+    for span in ({}, shard):
+        start = span.get("start", 0)
+        stop = n if span.get("count") is None else start + span["count"]
+        lines = list(read_rows(**paths, **span))
+        assert lines == pairs[start:stop]
+        got = list(open_corpus(**paths, lowercase=lowercase, **span))
+        assert [p.id for p in got] == list(range(start, start + len(lines)))
+        assert [(p.src.raw, p.tgt.raw) for p in got] == lines
+        for pair, (src, tgt) in zip(got, lines):
+            assert pair.src.tokens == tokenize(src, lowercase).tokens
+            assert pair.tgt.tokens == tokenize(tgt, lowercase).tokens
 
 
 def test_sample_returns_all_when_n_exceeds_size():

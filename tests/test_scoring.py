@@ -19,7 +19,6 @@ from pairsieve.scoring import (
     format_record,
     make_record,
     read_score_file,
-    score_corpus,
     score_corpus_to_file,
     shard_plan,
 )
@@ -181,7 +180,7 @@ def test_blank_target_scores_zero_with_flag():
         SentencePair(id=1, src=tokenize("a"), tgt=tokenize("")),
     ]
     table = ExternalScoreTable([1.0, 1.0])
-    records = list(score_corpus(pairs, *(table,) * 4))
+    records = [scoring.score_pair(pair, *(table,) * 4) for pair in pairs]
     assert records[1].combined == 0.0
     assert records[1].flags == "blank_tgt"
     assert records[0].flags == "-"
@@ -202,7 +201,7 @@ def test_overlength_side_scores_zero_with_flag():
         SentencePair(id=1, src=tokenize(""), tgt=long_side),
     ]
     table = ExternalScoreTable([1.0, 1.0])
-    records = list(score_corpus(pairs, *(table,) * 4, max_tokens=8))
+    records = [scoring.score_pair(pair, *(table,) * 4, max_tokens=8) for pair in pairs]
     assert [r.combined for r in records] == [0.0, 0.0]
     assert [r.flags for r in records] == ["overlength_src", "blank_src,overlength_tgt"]
 
@@ -211,7 +210,7 @@ def test_scorer_failure_names_the_pair():
     pairs = [make_pair(0), make_pair(1)]
     table = ExternalScoreTable([1.0])  # too short: pair 1 is off the table
     with pytest.raises(ScoringError, match="pair 1"):
-        list(score_corpus(pairs, *(table,) * 4))
+        [scoring.score_pair(pair, *(table,) * 4) for pair in pairs]
 
 
 @settings(max_examples=50)
