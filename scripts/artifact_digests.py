@@ -11,7 +11,7 @@ then runs this checkout's CLI on them: `train-tm` in both directions,
 the TSV and `--lowercase` paths on `crawl.tsv` (the crawl as one TSV file,
 every third pair upper-cased, since the draw's words are all lower case):
 `score --lowercase --max-tokens 12` at 1 and 2 workers, `select` from it as
-twin files and as TSV, `train-tm --lowercase` and `corrupt --lowercase`,
+twin files and as TSV, `train-tm --lowercase` and `corrupt` (which keeps case),
 then `corrupt` of the training draw, `score` and `evaluate` of the
 corrupted draw, the same with `score --trusted` (whose scores tie at the
 clean count's cut, so precision@clean rests on the lower-id rule), and
@@ -124,7 +124,7 @@ def digests(work: Path, seed: int, pairs: int) -> dict[str, str]:
     _run(work, "select", *tsv, *lower_scores, "--top-n", top_n, "--format", "tsv",
          "--out-prefix", "lower.top")
     _run(work, "train-tm", *tsv, "--lowercase", "--iters", "3", "--out", "lower.tm")
-    _run(work, "corrupt", *tsv, "--lowercase", "--seed", str(seed), "--third-lang", "raw.mono",
+    _run(work, "corrupt", *tsv, "--seed", str(seed), "--third-lang", "raw.mono",
          "--out-prefix", "lower.noisy", "--labels", "lower.noisy.labels")
     for name in ("lower.top.src", "lower.top.tgt", "lower.top.tsv", "lower.tm",
                  "lower.noisy.src", "lower.noisy.tgt", "lower.noisy.labels"):

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
-from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of
+from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise
 from pairsieve.scoring import LmScorer, Model1Scorer, score_pair
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
@@ -42,21 +42,20 @@ def main() -> int:
     raw_sample = make_cipher_corpus(args.pairs, seed=seed + 3)
     third = make_third_language(max(100, args.pairs // 25), seed=seed + 4)
 
-    labeled_eval = inject_noise(eval_pairs, NoiseSpec(rate=args.rate, seed=seed + 5), third)
+    noisy_eval, labels = inject_noise(eval_pairs, NoiseSpec(rate=args.rate, seed=seed + 5), third)
     # the out-of-domain LM sees a fully noisy draw: the stand-in for sampling
     # a raw crawl with no filtering applied
-    labeled_raw = inject_noise(raw_sample, NoiseSpec(rate=1.0, seed=seed + 6), third)
+    noisy_raw, _ = inject_noise(raw_sample, NoiseSpec(rate=1.0, seed=seed + 6), third)
 
     print(f"training on {len(train_pairs)} clean pairs ...", file=sys.stderr)
     fwd, _ = train_model1(train_pairs, iterations=args.tm_iters, direction=Direction.FORWARD)
     rev, _ = train_model1(train_pairs, iterations=args.tm_iters, direction=Direction.REVERSE)
     in_lm = train_ngram([p.tgt for p in train_pairs], order=args.lm_order)
-    out_lm = train_ngram([lp.pair.tgt for lp in labeled_raw], order=args.lm_order)
+    out_lm = train_ngram([p.tgt for p in noisy_raw], order=args.lm_order)
 
-    print(f"scoring {len(labeled_eval)} pairs ...", file=sys.stderr)
+    print(f"scoring {len(noisy_eval)} pairs ...", file=sys.stderr)
     scorers = (Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm))
-    records = [score_pair(lp.pair, *scorers) for lp in labeled_eval]
-    labels = labels_of(labeled_eval)
+    records = [score_pair(pair, *scorers) for pair in noisy_eval]
     report = evaluate_filter([r.combined for r in records], labels)
     auc_adq = evaluate_filter([r.adq for r in records], labels).auc
     auc_dom = evaluate_filter([r.dom for r in records], labels).auc

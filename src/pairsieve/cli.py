@@ -56,7 +56,6 @@ from .noise import (
     NoiseSpec,
     evaluate_filter,
     inject_noise,
-    labels_of,
     read_labels,
     uniform_mix,
     write_labels,
@@ -299,23 +298,22 @@ def _parse_mix(text: str) -> dict[NoiseKind, float]:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    stream = open_corpus(**_corpus_paths(args), lowercase=args.lowercase)
+    stream = open_corpus(**_corpus_paths(args))
     mix = _parse_mix(args.mix) if args.mix else uniform_mix()
     spec = NoiseSpec(rate=args.rate, mix=mix, seed=args.seed)
-    third = read_mono(args.third_lang, args.lowercase) if args.third_lang else None
-    labeled = inject_noise(stream, spec, third)
+    third = read_mono(args.third_lang) if args.third_lang else None
+    pairs, labels = inject_noise(stream, spec, third)
     session = _AtomicSession()
     write_parallel(
-        ((lp.pair.id, lp.pair.src.raw, lp.pair.tgt.raw) for lp in labeled),
+        ((pair.id, pair.src.raw, pair.tgt.raw) for pair in pairs),
         session.path(args.out_prefix + ".src"),
         session.path(args.out_prefix + ".tgt"),
     )
-    write_labels(labels_of(labeled), session.path(args.labels))
+    write_labels(labels, session.path(args.labels))
     session.commit()
-    n_bad = sum(1 for lp in labeled if not lp.clean)
     log.info(
         "corrupted %d of %d pairs -> %s.src/.tgt, labels -> %s",
-        n_bad, len(labeled), args.out_prefix, args.labels,
+        len(labels) - labels.count(None), len(labels), args.out_prefix, args.labels,
     )
     return 0
 
@@ -682,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="corrupt clean bitext with labeled noise")
     _add_corpus_input_flags(p)
-    p.add_argument("--lowercase", action="store_true", help="lowercase while tokenizing")
     p.add_argument("--rate", type=float, default=DEFAULT_NOISE_RATE)
     p.add_argument("--mix", help="kind=prop,... (default: uniform)")
     p.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,11 @@
 """Streaming ingestion, tokenization, sampling, and emission of text corpora.
 
 Corpora are UTF-8, LF-terminated, one sentence per line, either as twin files
-(``corpus.src`` + ``corpus.tgt``) or as 2-column TSV. Each layout has one
-reader of raw lines, behind :func:`read_rows`; :func:`open_corpus` is the one
-place that tokenizes a pair. Streams make a single forward pass; memory use is
-independent of corpus length.
+(``corpus.src`` + ``corpus.tgt``) or as 2-column TSV. One reader decodes the
+lines of every file; each layout has one reader of raw rows over it, behind
+:func:`read_rows`; :func:`open_corpus` is the one place that tokenizes a
+pair. Streams make a single forward pass; memory use is independent of
+corpus length.
 """
 
 from __future__ import annotations
@@ -55,19 +56,6 @@ def tokenize(line: str, lowercase: bool = False) -> Sentence:
     return Sentence(tokens=text.split(), raw=line)
 
 
-def _iter_lines(path: str | Path) -> Iterator[str]:
-    # Binary read so decode errors can name a byte offset within the line.
-    with open(path, "rb") as fh:
-        for line_no, data in enumerate(fh, 1):
-            try:
-                line = data.rstrip(b"\n").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: invalid UTF-8 at byte offset {exc.start}"
-                ) from exc
-            yield line
-
-
 def count_lines(path: str | Path, every: int) -> tuple[int, list[int]]:
     """The line count of a file, and the byte offset where line i*every
     starts for i = 0, 1, ... (the file size for the line after the last)."""
@@ -115,46 +103,47 @@ def corpus_offsets(
     return n_src, list(zip(src_offsets, tgt_offsets))
 
 
-def _tsv_rows(path: str | Path, offset: int, start: int) -> Iterator[tuple[str, str]]:
-    # Binary read, so a decode error can name a byte offset within its line.
-    # Faults are found by the exceptions they raise, not by a test per line.
+def _lines(path: str | Path, offset: int, start: int) -> Iterator[str]:
+    # The decoded lines of a file from byte offset ``offset``, where line
+    # ``start + 1`` begins. A binary read, so a decode error can name a byte
+    # offset within its line.
     with open(path, "rb") as fh:
         fh.seek(offset)
         try:
-            for pair_id, data in enumerate(fh, start):
-                src, tgt = data.rstrip(b"\n").decode().split("\t")
-                yield src, tgt
+            for line_no, data in enumerate(fh, start + 1):
+                yield data.rstrip(b"\n").decode()
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(
-                f"{path}: line {pair_id + 1}: invalid UTF-8 at byte offset {exc.start}"
+                f"{path}: line {line_no}: invalid UTF-8 at byte offset {exc.start}"
             ) from exc
-        except ValueError:  # not two columns
-            found = data.count(b"\t") + 1
-            raise CorpusFormatError(
-                f"{path}: line {pair_id + 1}: expected 2 tab-separated columns, found {found}"
-            ) from None
+
+
+def _tsv_rows(path: str | Path, offset: int, start: int) -> Iterator[tuple[str, str]]:
+    # Faults are found by the exceptions they raise, not by a test per line.
+    try:
+        for pair_id, line in enumerate(_lines(path, offset, start), start):
+            src, tgt = line.split("\t")
+            yield src, tgt
+    except ValueError:  # not two columns
+        found = line.count("\t") + 1
+        raise CorpusFormatError(
+            f"{path}: line {pair_id + 1}: expected 2 tab-separated columns, found {found}"
+        ) from None
 
 
 def _twin_rows(
     src_path: str | Path, tgt_path: str | Path, offsets: tuple[int, ...], start: int
 ) -> Iterator[tuple[str, str]]:
-    with open(src_path, "rb") as fs, open(tgt_path, "rb") as ft:
-        fs.seek(offsets[0])
-        ft.seek(offsets[1])
-        try:
-            for pair_id, (s, t) in enumerate(zip(fs, ft, strict=True), start):
-                yield s.rstrip(b"\n").decode(), t.rstrip(b"\n").decode()
-        except UnicodeDecodeError as exc:
-            # The source line is decoded first, so bytes equal to it are its own.
-            path = src_path if exc.object == s.rstrip(b"\n") else tgt_path
-            raise CorpusFormatError(
-                f"{path}: line {pair_id + 1}: invalid UTF-8 at byte offset {exc.start}"
-            ) from exc
-        except ValueError:  # strict zip: one file ended before the other
-            n_src, _ = count_lines(src_path, sys.maxsize)
-            n_tgt, _ = count_lines(tgt_path, sys.maxsize)
-            _check_twin_lengths(src_path, n_src, tgt_path, n_tgt)
-            raise
+    try:
+        yield from zip(
+            _lines(src_path, offsets[0], start), _lines(tgt_path, offsets[1], start),
+            strict=True,
+        )
+    except ValueError:  # strict zip: one file ended before the other
+        n_src, _ = count_lines(src_path, sys.maxsize)
+        n_tgt, _ = count_lines(tgt_path, sys.maxsize)
+        _check_twin_lengths(src_path, n_src, tgt_path, n_tgt)
+        raise
 
 
 def read_rows(
@@ -214,7 +203,7 @@ def open_corpus(
 
 def read_mono(path: str | Path, lowercase: bool = False) -> list[Sentence]:
     """Read a monolingual file into memory, one Sentence per line."""
-    return [tokenize(line, lowercase) for line in _iter_lines(path)]
+    return [tokenize(line, lowercase) for line in _lines(path, 0, 0)]
 
 
 # A pair to write: its id and its raw source and target lines.

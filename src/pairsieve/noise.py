@@ -3,8 +3,8 @@
 The corruption taxonomy mirrors what web-crawled bitext actually contains:
 misaligned segments, untranslated source copies, scrambled or truncated
 targets, and wrong-language text. Corruption assignment is a pure function
-of (seed, pair id), so a corrupted corpus is reproducible regardless of how
-it is iterated or sharded.
+of (seed, pair position), so a corrupted corpus is reproducible from its
+pairs in order.
 """
 
 from __future__ import annotations
@@ -61,36 +61,30 @@ class NoiseSpec:
 Labels = list[NoiseKind | None]
 
 
-@dataclass
-class LabeledPair:
-    pair: SentencePair
-    kind: NoiseKind | None = None
-
-    @property
-    def clean(self) -> bool:
-        return self.kind is None
-
-
 def _made_sentence(tokens: list[str]) -> Sentence:
     return Sentence(tokens=tokens, raw=" ".join(tokens))
 
 
-def _pair_rng(seed: int, pair_id: int, purpose: str) -> random.Random:
+def _pair_rng(seed: int, position: int, purpose: str) -> random.Random:
     # String seeding hashes with sha512, so this is stable across processes.
-    return random.Random(f"{seed}:{pair_id}:{purpose}")
+    return random.Random(f"{seed}:{position}:{purpose}")
 
 
 def inject_noise(
     clean: Iterable[SentencePair],
     spec: NoiseSpec,
     third_language: list[Sentence] | None = None,
-) -> list[LabeledPair]:
+) -> tuple[list[SentencePair], Labels]:
     """Corrupt exactly round(rate * n) pairs, kinds drawn per the mix.
 
-    Misaligned pairs take their target from a different pair (never their
-    own, rotation over the misaligned set guarantees it). Truncation keeps a
-    random non-empty prefix of at most half the target tokens, so one-token
-    targets pass through unchanged. Deterministic for a fixed spec and seed.
+    Pair i is the i-th pair given. Returns the pairs after corruption, in the
+    same order, and their labels. Misaligned pairs take their target from a
+    different pair (never their own, rotation over the misaligned set
+    guarantees it). A copied source is the source sentence itself, so its
+    line is kept verbatim. Shuffled and truncated targets are built from the
+    target's tokens, so they keep its case. Truncation keeps a random
+    non-empty prefix of at most half the target tokens, so one-token targets
+    pass through unchanged. Deterministic for a fixed spec and seed.
     """
     pairs = list(clean)
     n = len(pairs)
@@ -112,41 +106,33 @@ def inject_noise(
             "sentences were supplied"
         )
 
-    # Pair i is by_id[i], whatever order the pairs came in.
-    by_id = sorted(pairs, key=lambda p: p.id)
-    if any(p.id != i for i, p in enumerate(by_id)):
-        raise StructuralError(f"pair ids must be 0 to {n - 1}, each once")
-
     master = random.Random(f"{spec.seed}:assignment")
-    corrupted_ids = sorted(master.sample(range(n), k))
-    kind_of = {
-        pair_id: _pair_rng(spec.seed, pair_id, "kind").choices(kinds, weights)[0]
-        for pair_id in corrupted_ids
-    }
+    corrupted = sorted(master.sample(range(n), k))
+    labels: Labels = [None] * n
+    for i in corrupted:
+        labels[i] = _pair_rng(spec.seed, i, "kind").choices(kinds, weights)[0]
 
     # Rotate targets within the misaligned set; a singleton borrows from its
     # successor in the full corpus instead.
-    misaligned = [pid for pid in corrupted_ids if kind_of[pid] is NoiseKind.MISALIGN]
+    misaligned = [i for i in corrupted if labels[i] is NoiseKind.MISALIGN]
     donor_of: dict[int, int] = {}
     if len(misaligned) >= 2:
-        for j, pid in enumerate(misaligned):
-            donor_of[pid] = misaligned[(j + 1) % len(misaligned)]
+        for j, i in enumerate(misaligned):
+            donor_of[i] = misaligned[(j + 1) % len(misaligned)]
     elif len(misaligned) == 1:
-        pid = misaligned[0]
-        donor_of[pid] = (pid + 1) % n
+        i = misaligned[0]
+        donor_of[i] = (i + 1) % n
 
-    out: list[LabeledPair] = []
-    for pair in by_id:
-        if pair.id not in kind_of:
-            out.append(LabeledPair(pair=pair))
-            continue
-        kind = kind_of[pair.id]
-        rng = _pair_rng(spec.seed, pair.id, "corrupt")
+    out = list(pairs)
+    for i in corrupted:
+        kind = labels[i]
+        rng = _pair_rng(spec.seed, i, "corrupt")
+        pair = pairs[i]
         src, tgt = pair.src, pair.tgt
         if kind is NoiseKind.MISALIGN:
-            new_tgt = by_id[donor_of[pair.id]].tgt
+            new_tgt = pairs[donor_of[i]].tgt
         elif kind is NoiseKind.COPY_SOURCE:
-            new_tgt = _made_sentence(list(src.tokens))
+            new_tgt = src
         elif kind is NoiseKind.SHUFFLE:
             tokens = list(tgt.tokens)
             if len(set(tokens)) > 1:
@@ -158,14 +144,8 @@ def inject_noise(
             new_tgt = _made_sentence(list(tgt.tokens[:keep]))
         else:
             new_tgt = rng.choice(third_language)
-        corrupted = SentencePair(id=pair.id, src=src, tgt=new_tgt)
-        out.append(LabeledPair(pair=corrupted, kind=kind))
-    return out
-
-
-def labels_of(labeled: Iterable[LabeledPair]) -> Labels:
-    """The labels of :func:`inject_noise`'s pairs, which come pair 0 first."""
-    return [lp.kind for lp in labeled]
+        out[i] = SentencePair(id=pair.id, src=src, tgt=new_tgt)
+    return out, labels
 
 
 def write_labels(labels: Labels, path: str | Path) -> int:

@@ -15,7 +15,7 @@ import pytest
 from pairsieve.corpus import SentencePair, tokenize, write_parallel
 from pairsieve.lexical_tm import Direction, ExternalScoreTable, train_model1
 from pairsieve.ngram_lm import train_ngram, cross_entropy
-from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise, labels_of
+from pairsieve.noise import NoiseSpec, evaluate_filter, inject_noise
 from pairsieve.scoring import (
     LmScorer,
     Model1Scorer,
@@ -203,21 +203,20 @@ def test_criterion_6_intrinsic_filtering_power():
         raw_sample = make_cipher_corpus(10_000, seed=seed + 3)
         third = make_third_language(400, seed=seed + 4)
 
-        labeled_eval = inject_noise(eval_pairs, NoiseSpec(rate=0.2, seed=seed + 5), third)
+        noisy_eval, labels = inject_noise(eval_pairs, NoiseSpec(rate=0.2, seed=seed + 5), third)
         # the out-of-domain model trains on a fully noisy draw, the analog of
         # sampling a raw crawl with no filtering applied
-        labeled_raw = inject_noise(raw_sample, NoiseSpec(rate=1.0, seed=seed + 6), third)
+        noisy_raw, _ = inject_noise(raw_sample, NoiseSpec(rate=1.0, seed=seed + 6), third)
 
         fwd, _ = train_model1(train_pairs, iterations=5, direction=Direction.FORWARD)
         rev, _ = train_model1(train_pairs, iterations=5, direction=Direction.REVERSE)
         in_lm = train_ngram([p.tgt for p in train_pairs], order=2, k=0.1, vocab_min_count=2)
         out_lm = train_ngram(
-            [lp.pair.tgt for lp in labeled_raw], order=2, k=0.1, vocab_min_count=2
+            [p.tgt for p in noisy_raw], order=2, k=0.1, vocab_min_count=2
         )
 
         scorers = (Model1Scorer(fwd), Model1Scorer(rev), LmScorer(in_lm), LmScorer(out_lm))
-        records = [score_pair(lp.pair, *scorers) for lp in labeled_eval]
-        labels = labels_of(labeled_eval)
+        records = [score_pair(pair, *scorers) for pair in noisy_eval]
         report = evaluate_filter([r.combined for r in records], labels)
 
         auc_adq = evaluate_filter([r.adq for r in records], labels).auc

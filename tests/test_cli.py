@@ -23,7 +23,7 @@ from pairsieve.errors import ConfigError, PairsieveError, TrainingError
 from pairsieve.forked import ChildTraceback, forked_map
 from pairsieve.lexical_tm import Direction, train_model1
 from pairsieve.ngram_lm import train_ngram
-from pairsieve.noise import read_labels, write_labels
+from pairsieve.noise import NoiseKind, read_labels, write_labels
 from pairsieve.scoring import SCORE_HEADER, ScoreRecord, format_record, read_score_file
 from pairsieve.synthetic import make_cipher_corpus, make_third_language
 
@@ -417,26 +417,26 @@ def test_select_requires_exactly_one_mode(workdir, tmp_path):
 
 @pytest.mark.parametrize("command", ["train-tm", "score", "corrupt", "select"])
 def test_only_the_commands_that_tokenize_take_lowercase(tmp_path, capsys, command):
-    """select extracts raw lines, so --lowercase would change nothing there:
-    it is a usage error, not a flag that is ignored."""
+    """select extracts raw lines and corrupt keeps the input's case, so
+    --lowercase is a usage error there, not a flag that is ignored."""
     (tmp_path / "c.tsv").write_text("A b\tC d\nE f\tG h\n", encoding="utf-8")
     scores = _handmade_scores(tmp_path, [0.9, 0.1])
     extra = {
         "train-tm": ["--out", tmp_path / "fwd.tm"],
         "score": ["--fwd-model", "f", "--rev-model", "r", "--in-lm", "i", "--out-lm", "o",
                   "--out", tmp_path / "s.tsv"],
-        "corrupt": ["--out-prefix", tmp_path / "noisy", "--labels", tmp_path / "labels"],
-        "select": ["--scores", scores, "--top-n", "1", "--out-prefix", tmp_path / "sel"],
+        "corrupt": ["--out-prefix", tmp_path / "out", "--labels", tmp_path / "out.labels"],
+        "select": ["--scores", scores, "--top-n", "1", "--out-prefix", tmp_path / "out"],
     }[command]
     argv = [command, "--in", tmp_path / "c.tsv", *extra, "--lowercase"]
-    if command != "select":
+    if command in ("train-tm", "score"):
         assert build_parser().parse_args(list(map(str, argv))).lowercase is True
         return
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --lowercase" in capsys.readouterr().err
-    assert not list(tmp_path.glob("sel*"))
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_weights_match_the_worked_example(tmp_path):
@@ -488,6 +488,35 @@ def test_corrupt_then_evaluate_round_trip(workdir, tmp_path):
     )
     assert float(report["auc"]) > 0.8
     assert int(report["n_corrupted"]) == 30
+
+
+def test_corrupt_keeps_the_case_and_spacing_of_its_input(tmp_path):
+    """Case must not give a corrupted pair away: a shuffled target is a
+    permutation of the target's own tokens, and a copied source is the
+    source line byte for byte, double spaces included."""
+    rows = [
+        (f"Zwei  Rote Autos {i}", f"Two Red CARS and {i} Blue Bikes") for i in range(12)
+    ]
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text("".join(f"{src}\t{tgt}\n" for src, tgt in rows), encoding="utf-8")
+    assert run_cli(
+        "corrupt", "--in", corpus, "--rate", "0.5", "--mix", "shuffle=0.5,copy_source=0.5",
+        "--seed", "3", "--out-prefix", tmp_path / "noisy", "--labels", tmp_path / "labels.tsv",
+    ) == 0
+    srcs, tgts = (
+        (tmp_path / f"noisy.{side}").read_text(encoding="utf-8").split("\n")[:-1]
+        for side in ("src", "tgt")
+    )
+    labels = read_labels(tmp_path / "labels.tsv")
+    assert srcs == [src for src, _ in rows]
+    assert {NoiseKind.SHUFFLE, NoiseKind.COPY_SOURCE} <= set(labels)
+    for (src, tgt), new_tgt, kind in zip(rows, tgts, labels):
+        if kind is NoiseKind.SHUFFLE:
+            assert sorted(new_tgt.split()) == sorted(tgt.split()) and new_tgt != tgt
+        elif kind is NoiseKind.COPY_SOURCE:
+            assert new_tgt == src
+        else:
+            assert new_tgt == tgt
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairsieve.corpus import (
     corpus_offsets,
     open_corpus,
+    read_mono,
     read_rows,
     sample,
     tokenize,
@@ -139,6 +140,15 @@ def test_invalid_utf8_names_byte_offset(tmp_path):
     (tmp_path / "c.tsv").write_bytes(b"ok\tok\nbad \xff\tx\n")
     with pytest.raises(CorpusFormatError, match="byte offset 4"):
         list(open_corpus(path=tmp_path / "c.tsv"))
+
+
+def test_read_mono_names_the_line_and_byte_offset_of_invalid_utf8(tmp_path):
+    """A monolingual file is decoded by the same line reader as a corpus."""
+    path = tmp_path / "third.txt"
+    path.write_bytes(b"eins zwei\ndrei \xfe vier\n")
+    with pytest.raises(CorpusFormatError) as info:
+        read_mono(path)
+    assert str(info.value) == f"{path}: line 2: invalid UTF-8 at byte offset 5"
 
 
 def test_round_trip_preserves_raw_lines(tmp_path):
